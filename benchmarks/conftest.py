@@ -11,7 +11,6 @@ import pytest
 
 from repro.core.config import ICOILConfig
 from repro.core.determinism import check_hash_seed
-from repro.eval.runner import EpisodeRunner
 from repro.eval.training import train_default_policy
 
 # Benchmarks append to shared BENCH_*.json trajectories: make an unpinned
@@ -26,5 +25,6 @@ def trained_policy():
 
 
 @pytest.fixture(scope="session")
-def runner(trained_policy):
-    return EpisodeRunner(il_policy=trained_policy, config=ICOILConfig(), time_limit=70.0)
+def experiment_settings():
+    """The iCOIL config and episode budget every paper-figure bench runs with."""
+    return dict(config=ICOILConfig(), time_limit=70.0)

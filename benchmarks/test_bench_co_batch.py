@@ -5,7 +5,7 @@ initial states, references and obstacle circle pairs; shared vehicle and
 horizon) is solved twice: one :class:`~repro.co.solver.GaussNewtonSolver`
 loop per problem, and one
 :meth:`~repro.co.solver.BatchedGaussNewtonSolver.solve_many` call that
-stacks all 256 into ``(B, ...)`` tensors on the NumPy array backend.  The
+stacks all 256 into ``(B, ...)`` NumPy tensors.  The
 record (``co_batch_bench`` in ``BENCH_planner.json``) carries both wall
 clocks, the speedup and the worst per-problem control deviation.
 

@@ -46,7 +46,13 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_io import append_record  # noqa: E402
 
-from repro.api import ControllerContext, EpisodeSpec, TimeLayerSpec, default_registry
+from repro.api import (
+    ControllerContext,
+    EpisodeSpec,
+    TimeLayerSpec,
+    default_registry,
+    solve_request,
+)
 from repro.co import CollisionConstraintSet, COController, GaussNewtonSolver
 from repro.perception.detector import ObjectDetector
 from repro.world import DifficultyLevel, ScenarioConfig, SpawnMode, build_scenario
@@ -90,10 +96,10 @@ def _run_expert_episode(scenario_name: str, seed: int, enabled: bool):
     for _ in range(max_steps):
         if world.status.is_terminal:
             break
-        control = controller.step(
+        request, finish = controller.step_split(
             world.state, world.current_obstacles(), scenario.lot, time=world.time
         )
-        world.step(control.action)
+        world.step(finish(solve_request(request)).action)
     # plan_reference increments on the initial plan too; replans are the
     # rest.  A count of zero means the initial plan never happened.
     planned = context.expert.replan_count > 0

@@ -12,10 +12,10 @@ from repro.eval.experiments import execution_frequency_experiment
 
 
 @pytest.mark.benchmark(group="frequency")
-def test_execution_frequency(benchmark, trained_policy, runner):
+def test_execution_frequency(benchmark, trained_policy, experiment_settings):
     result = benchmark.pedantic(
         execution_frequency_experiment,
-        kwargs=dict(policy=trained_policy, num_steps=25, runner=runner),
+        kwargs=dict(policy=trained_policy, num_steps=25, **experiment_settings),
         rounds=1,
         iterations=1,
     )

@@ -13,10 +13,10 @@ from repro.eval.experiments import fig5_steering_experiment
 
 
 @pytest.mark.benchmark(group="fig5")
-def test_fig5_steering_comparison(benchmark, trained_policy, runner):
+def test_fig5_steering_comparison(benchmark, trained_policy, experiment_settings):
     comparison = benchmark.pedantic(
         fig5_steering_experiment,
-        kwargs=dict(policy=trained_policy, seed=0, runner=runner),
+        kwargs=dict(policy=trained_policy, seed=0, **experiment_settings),
         rounds=1,
         iterations=1,
     )

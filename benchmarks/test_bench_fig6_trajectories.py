@@ -14,11 +14,11 @@ from repro.world.scenario import DifficultyLevel
 
 
 @pytest.mark.benchmark(group="fig6")
-def test_fig6_trajectories(benchmark, trained_policy, runner):
+def test_fig6_trajectories(benchmark, trained_policy, experiment_settings):
     comparison = benchmark.pedantic(
         fig6_trajectory_experiment,
         kwargs=dict(
-            policy=trained_policy, seed=3, difficulty=DifficultyLevel.NORMAL, runner=runner
+            policy=trained_policy, seed=3, difficulty=DifficultyLevel.NORMAL, **experiment_settings
         ),
         rounds=1,
         iterations=1,

@@ -13,14 +13,12 @@ import pytest
 
 from repro.core.config import ICOILConfig
 from repro.eval.experiments import fig7_mode_switching_experiment
-from repro.eval.runner import EpisodeRunner
 from repro.world.scenario import DifficultyLevel
 
 
 @pytest.mark.benchmark(group="fig7")
 def test_fig7_mode_switching(benchmark, trained_policy):
     config = ICOILConfig(guard_frames=20)
-    runner = EpisodeRunner(il_policy=trained_policy, config=config, time_limit=70.0)
     trace = benchmark.pedantic(
         fig7_mode_switching_experiment,
         kwargs=dict(
@@ -28,7 +26,7 @@ def test_fig7_mode_switching(benchmark, trained_policy):
             seed=0,
             difficulty=DifficultyLevel.EASY,
             config=config,
-            runner=runner,
+            time_limit=70.0,
         ),
         rounds=1,
         iterations=1,

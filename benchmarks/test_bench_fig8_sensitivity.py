@@ -14,7 +14,7 @@ from repro.world.scenario import SpawnMode
 
 
 @pytest.mark.benchmark(group="fig8")
-def test_fig8_sensitivity(benchmark, trained_policy, runner):
+def test_fig8_sensitivity(benchmark, trained_policy, experiment_settings):
     cells = benchmark.pedantic(
         fig8_sensitivity_experiment,
         kwargs=dict(
@@ -22,7 +22,7 @@ def test_fig8_sensitivity(benchmark, trained_policy, runner):
             num_episodes=1,
             obstacle_counts=(1, 3),
             spawn_modes=(SpawnMode.CLOSE, SpawnMode.REMOTE),
-            runner=runner,
+            **experiment_settings,
         ),
         rounds=1,
         iterations=1,

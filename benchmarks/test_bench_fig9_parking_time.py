@@ -15,14 +15,14 @@ from repro.world.scenario import DifficultyLevel
 
 
 @pytest.mark.benchmark(group="fig9")
-def test_fig9_parking_time(benchmark, trained_policy, runner):
+def test_fig9_parking_time(benchmark, trained_policy, experiment_settings):
     distributions = benchmark.pedantic(
         fig9_parking_time_experiment,
         kwargs=dict(
             policy=trained_policy,
             num_episodes=2,
             difficulty=DifficultyLevel.EASY,
-            runner=runner,
+            **experiment_settings,
         ),
         rounds=1,
         iterations=1,

@@ -16,13 +16,13 @@ NUM_EPISODES = 2
 
 
 @pytest.mark.benchmark(group="table2")
-def test_table2_success_rate(benchmark, trained_policy, runner):
+def test_table2_success_rate(benchmark, trained_policy, experiment_settings):
     rows = benchmark.pedantic(
         table2_experiment,
         kwargs=dict(
             policy=trained_policy,
             num_episodes=NUM_EPISODES,
-            runner=runner,
+            **experiment_settings,
             difficulties=(DifficultyLevel.EASY, DifficultyLevel.NORMAL, DifficultyLevel.HARD),
         ),
         rounds=1,

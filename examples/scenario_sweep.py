@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import argparse
 
-from repro.core import check_hash_seed
-from repro.eval import EpisodeRunner, train_default_policy
+from repro.core import ICOILConfig, check_hash_seed
+from repro.eval import train_default_policy
 from repro.eval.experiments import (
     fig8_sensitivity_experiment,
     scenario_generalization_experiment,
@@ -41,10 +41,10 @@ def main() -> None:
     args = parser.parse_args()
 
     policy, _, _ = train_default_policy(num_episodes=4, epochs=6)
-    runner = EpisodeRunner(il_policy=policy, time_limit=70.0)
+    settings = dict(config=ICOILConfig(), time_limit=70.0)
 
     print("=== Table II: parking time and success rate ===")
-    rows = table2_experiment(policy, num_episodes=args.episodes, runner=runner)
+    rows = table2_experiment(policy, num_episodes=args.episodes, **settings)
     print(format_table2(rows))
 
     print("=== Fig. 8: parking time vs starting point and #obstacles (iCOIL) ===")
@@ -57,7 +57,7 @@ def main() -> None:
         obstacle_counts=(1, 2, 3),
         spawn_modes=(SpawnMode.CLOSE, SpawnMode.REMOTE, SpawnMode.RANDOM),
         scenarios=fig8_scenarios,
-        runner=runner,
+        **settings,
     )
     print(format_fig8_grid(cells))
 
@@ -66,7 +66,7 @@ def main() -> None:
         policy,
         methods=("icoil", "il", "expert"),
         num_episodes=max(1, args.episodes // 2),
-        runner=runner,
+        **settings,
     )
     print(format_scenario_matrix(matrix))
 

@@ -6,9 +6,10 @@ This package is the one supported way to run episodes and batches:
   :class:`EpisodeSpec` / :class:`BatchSpec` descriptions,
 * :mod:`repro.api.registry` — the pluggable :class:`ControllerRegistry`
   with the :func:`register_method` decorator (built-ins: ``icoil``, ``il``,
-  ``co``, ``expert``),
+  ``co``, ``expert``) and the one controller protocol, ``step_split``,
 * :mod:`repro.api.session` — the :class:`ParkingSession` engine streaming
-  per-step :class:`StepEvent` messages over the middleware bus,
+  per-step :class:`StepEvent` messages over the middleware bus, and
+  :func:`solve_request` for stepping a controller outside a session,
 * :mod:`repro.api.executor` — the :class:`BatchExecutor` fanning batches
   over a worker pool with deterministic result ordering,
 * :mod:`repro.api.results` / :mod:`repro.api.trace` — episode outcomes,
@@ -42,7 +43,7 @@ from repro.api.registry import (
     register_method,
 )
 from repro.api.results import EpisodeResult, MethodStatistics, aggregate_results
-from repro.api.session import ParkingSession, SessionOutcome, run_episode_spec
+from repro.api.session import ParkingSession, SessionOutcome, run_episode_spec, solve_request
 from repro.api.specs import BatchSpec, EpisodeSpec, PerceptionOverrides, TimeLayerSpec
 from repro.api.trace import EpisodeTrace, batch_trace_digest, episode_trace_hash
 
@@ -78,4 +79,5 @@ __all__ = [
     "episode_trace_hash",
     "register_method",
     "run_episode_spec",
+    "solve_request",
 ]

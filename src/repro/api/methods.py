@@ -1,7 +1,7 @@
-"""Built-in controller methods, migrated onto the registry.
+"""Built-in controller methods, installed on the registry.
 
-Each factory adapts one of the seed controllers to the uniform
-:class:`~repro.api.registry.SessionController` interface, so the session
+Each factory returns a controller that speaks the ``step_split`` protocol
+itself (see :class:`~repro.api.registry.SessionController`), so the session
 loop needs no per-method branches.  Perception components are requested
 from the context lazily: ``expert`` builds neither renderer nor detector,
 ``il`` builds only the renderer, ``co`` only the detector.
@@ -12,137 +12,38 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.baselines import COOnlyController, ILOnlyController
-from repro.core.controller import ICOILController
+from repro.core.controller import ControlStep, ICOILController
 from repro.il.expert import ExpertDriver
 from repro.vehicle.state import VehicleState
 from repro.world.obstacles import Obstacle
 from repro.world.parking_lot import ParkingLot
 
-from repro.api.registry import (
-    ControlStep,
-    ControllerContext,
-    default_registry,
-    register_method,
-)
+from repro.api.registry import ControllerContext, default_registry, register_method
 
 
-# ---------------------------------------------------------------------------
-# Adapters
-# ---------------------------------------------------------------------------
-class ExpertSessionController:
-    """Adapter driving the scripted expert through the session interface."""
+class ExpertController:
+    """The scripted expert: no solve, so every request is ``None``."""
 
     def __init__(self, expert: ExpertDriver) -> None:
         self.expert = expert
 
-    def step(
+    def step_split(
         self,
         state: VehicleState,
         obstacles: Sequence[Obstacle],
         lot: ParkingLot,
         time: float = 0.0,
-    ) -> ControlStep:
-        return ControlStep(action=self.expert.act(state, time=time), mode="expert")
+    ):
+        control = ControlStep(action=self.expert.act(state, time=time), mode="expert")
+        return None, lambda result: control
 
     def committed_reservation(self, owner: str, priority: int, state, time: float):
         """The expert's committed window (see ``ParkingSession`` coordination)."""
         return self.expert.committed_reservation(owner, priority, state, time)
 
 
-class BaselineSessionController:
-    """Adapter for the single-mode baselines (pure IL, pure CO)."""
-
-    def __init__(self, controller, mode: str) -> None:
-        self.controller = controller
-        self.mode = mode
-
-    def step(
-        self,
-        state: VehicleState,
-        obstacles: Sequence[Obstacle],
-        lot: ParkingLot,
-        time: float = 0.0,
-    ) -> ControlStep:
-        info = self.controller.step(state, obstacles, lot, time=time)
-        return ControlStep(action=info.action, mode=self.mode)
-
-    def step_split(
-        self,
-        state: VehicleState,
-        obstacles: Sequence[Obstacle],
-        lot: ParkingLot,
-        time: float = 0.0,
-    ):
-        """``(request, finish)`` form of :meth:`step` (see ``ParkingSession``).
-
-        Pure IL has no solve to externalise, so its request is ``None`` and
-        the whole step runs inside ``finish(None)``.
-        """
-        inner = getattr(self.controller, "step_split", None)
-        if inner is None:
-            return None, lambda result=None, **kwargs: self.step(
-                state, obstacles, lot, time=time
-            )
-        request, finish_info = inner(state, obstacles, lot, time=time)
-
-        def finish(result=None, **kwargs) -> ControlStep:
-            info = finish_info(result, **kwargs)
-            return ControlStep(action=info.action, mode=self.mode)
-
-        return request, finish
-
-
-class ICOILSessionController:
-    """Adapter exposing the full iCOIL telemetry (mode, HSA, switches)."""
-
-    def __init__(self, controller: ICOILController) -> None:
-        self.controller = controller
-
-    def step(
-        self,
-        state: VehicleState,
-        obstacles: Sequence[Obstacle],
-        lot: ParkingLot,
-        time: float = 0.0,
-    ) -> ControlStep:
-        info = self.controller.step(state, obstacles, lot, time=time)
-        return self._control_step(info)
-
-    def step_split(
-        self,
-        state: VehicleState,
-        obstacles: Sequence[Obstacle],
-        lot: ParkingLot,
-        time: float = 0.0,
-    ):
-        """``(request, finish)`` form of :meth:`step` (see ``ParkingSession``).
-
-        The request is ``None`` on IL frames (HSA kept the learned mode) and
-        this frame's MPC problem on CO frames.
-        """
-        request, finish_info = self.controller.step_split(state, obstacles, lot, time=time)
-
-        def finish(result=None, **kwargs) -> ControlStep:
-            return self._control_step(finish_info(result, **kwargs))
-
-        return request, finish
-
-    @staticmethod
-    def _control_step(info) -> ControlStep:
-        return ControlStep(
-            action=info.action,
-            mode=info.mode.value,
-            uncertainty=info.hsa.normalized_uncertainty,
-            hsa_score=info.hsa.score,
-            switched=info.switched,
-        )
-
-
-# ---------------------------------------------------------------------------
-# Built-in factories
-# ---------------------------------------------------------------------------
 @register_method("icoil")
-def build_icoil(context: ControllerContext) -> ICOILSessionController:
+def build_icoil(context: ControllerContext) -> ICOILController:
     """The integrated CO+IL controller with HSA mode switching (Eq. 1)."""
     policy = context.require_policy("icoil")
     controller = ICOILController(
@@ -154,31 +55,28 @@ def build_icoil(context: ControllerContext) -> ICOILSessionController:
         timegrid=context.reservations,
     )
     controller.prepare(context.reference_path)
-    return ICOILSessionController(controller)
+    return controller
 
 
 @register_method("il")
-def build_il(context: ControllerContext) -> BaselineSessionController:
+def build_il(context: ControllerContext) -> ILOnlyController:
     """The conventional pure-IL baseline [2]: the DNN drives every frame."""
-    policy = context.require_policy("il")
-    controller = ILOnlyController(policy, context.renderer)
-    controller.prepare(None)
-    return BaselineSessionController(controller, "il")
+    return ILOnlyController(context.require_policy("il"), context.renderer)
 
 
 @register_method("co")
-def build_co(context: ControllerContext) -> BaselineSessionController:
+def build_co(context: ControllerContext) -> COOnlyController:
     """Constrained optimization at every frame (pure-CO ablation)."""
     controller = COOnlyController(context.make_co_controller(), context.detector)
     controller.prepare(context.reference_path)
-    return BaselineSessionController(controller, "co")
+    return controller
 
 
 @register_method("expert")
-def build_expert(context: ControllerContext) -> ExpertSessionController:
+def build_expert(context: ControllerContext) -> ExpertController:
     """The scripted demonstrator used to generate IL training data."""
     context.reference_path  # plan eagerly so failures surface at build time
-    return ExpertSessionController(context.expert)
+    return ExpertController(context.expert)
 
 
 # Methods guaranteed to exist in any process that imports repro.api — the

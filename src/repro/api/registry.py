@@ -2,20 +2,19 @@
 
 A *method* ("icoil", "il", "co", "expert", …) is a named
 :class:`ControllerFactory` that builds a :class:`SessionController` for a
-concrete scenario.  The registry replaces the historical string-dispatch
-``if method == …`` chains in ``EpisodeRunner.build_controller``: new policy
-families (offline-RL parking, imagination-based planners, …) plug in with
-``@register_method("name")`` and immediately work everywhere specs are
-accepted — sessions, batches, experiments — without touching ``repro.eval``.
+concrete scenario.  New policy families (offline-RL parking,
+imagination-based planners, …) plug in with ``@register_method("name")``
+and immediately work everywhere specs are accepted — sessions, batches,
+fleets, experiments — without touching ``repro.eval``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 from repro.co.controller import COController
 from repro.core.config import ICOILConfig
+from repro.core.controller import ControlStep
 from repro.core.determinism import derive_seed
 from repro.il.expert import ExpertDriver
 from repro.il.policy import ILPolicy
@@ -25,7 +24,6 @@ from repro.perception.noise import GaussianImageNoise, NoNoise
 from repro.planning.reservation import ReservationLedger, ReservationTable
 from repro.planning.waypoints import WaypointPath
 from repro.spatial import SpatialIndex, TimeGrid, current_spatial_provider
-from repro.vehicle.actions import Action
 from repro.vehicle.params import VehicleParams
 from repro.vehicle.state import VehicleState
 from repro.world.obstacles import Obstacle
@@ -36,30 +34,26 @@ from repro.api.specs import PerceptionOverrides, TimeLayerSpec
 
 
 # ---------------------------------------------------------------------------
-# The uniform controller interface
+# The controller protocol
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class ControlStep:
-    """One control decision, in the shape every registered method produces."""
-
-    action: Action
-    mode: str
-    uncertainty: float = 0.0
-    hsa_score: float = 0.0
-    switched: bool = False
-
-
 @runtime_checkable
 class SessionController(Protocol):
-    """What a factory must return: one ``step`` per simulation frame."""
+    """What a factory must return: one ``step_split`` per simulation frame.
 
-    def step(
+    ``step_split`` does the frame's work up to its MPC solve and returns
+    ``(request, finish)``.  ``request`` is the frame's
+    :class:`~repro.co.controller.COSolveRequest`, or ``None`` when the frame
+    has no solve; ``finish(result)`` takes the solver result (``None`` for a
+    ``None`` request) and returns the frame's :class:`ControlStep`.
+    """
+
+    def step_split(
         self,
         state: VehicleState,
         obstacles: Sequence[Obstacle],
         lot: ParkingLot,
         time: float = 0.0,
-    ) -> ControlStep:
+    ) -> Tuple[Optional[object], Callable[[object], ControlStep]]:
         ...
 
 

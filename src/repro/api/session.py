@@ -15,6 +15,8 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
+from repro.co.solver import BatchedGaussNewtonSolver, SolverResult
+from repro.core.controller import ControlStep
 from repro.il.policy import ILPolicy
 from repro.middleware.bus import MessageBus, Subscription
 from repro.vehicle.params import VehicleParams
@@ -41,19 +43,39 @@ StepListener = Callable[[StepEvent], None]
 class PendingStep:
     """One session step paused at its MPC solve.
 
-    ``begin_step`` runs everything up to (and excluding) the solve and
-    returns one of these; :meth:`ParkingSession.finish_step` consumes the
-    solver result and completes the frame.  ``request`` is ``None`` when the
-    frame has no solve to externalise (IL frames, the expert, or controllers
-    that do not implement ``step_split``) — in that case ``finish_step`` (or
-    ``complete_step``) is called with ``result=None``.
+    ``begin_step`` runs the controller's ``step_split`` and returns one of
+    these; :meth:`ParkingSession.finish_step` hands the solver result for
+    ``request`` to ``finish`` and completes the frame.  ``request`` is
+    ``None`` when the frame has no solve (IL frames, the expert); then the
+    result is ``None`` too.
     """
 
     step_index: int
     pre_step_state: object
     request: object  # Optional[COSolveRequest]
-    finish: Callable  # (result, **kwargs) -> ControlStep
-    control: object = None  # pre-computed ControlStep for split-less controllers
+    finish: Callable[[Optional[SolverResult]], ControlStep]
+
+
+def solve_request(
+    request, batched_solver: Optional[BatchedGaussNewtonSolver] = None
+) -> Optional[SolverResult]:
+    """Solve one frame's ``step_split`` request in this process.
+
+    ``None`` for a solve-free frame.  With ``batched_solver`` the problem
+    runs through :meth:`~repro.co.solver.BatchedGaussNewtonSolver.solve_many`
+    as a batch of one — bitwise identical to the same problem solved inside
+    any fleet cohort, because ``solve_many`` is invariant to batch
+    composition; otherwise through the request's own scalar solver.  A
+    single-call step outside a session is
+    ``finish(solve_request(request))``.
+    """
+    if request is None:
+        return None
+    if batched_solver is not None:
+        return batched_solver.solve_many(
+            [request.problem], initial_controls=[request.warm_start]
+        )[0]
+    return request.solver.solve(request.problem, initial_controls=request.warm_start)
 
 
 @dataclass(frozen=True)
@@ -139,7 +161,13 @@ class ParkingSession:
             reservation_owner=self.reservation_owner,
             reservation_priority=self.reservation_priority,
         )
-        return self.registry.create(self.spec.method, context)
+        controller = self.registry.create(self.spec.method, context)
+        if not callable(getattr(controller, "step_split", None)):
+            raise TypeError(
+                f"method {self.spec.method!r} built a {type(controller).__name__}, "
+                "which has no callable step_split(state, obstacles, lot, time)"
+            )
+        return controller
 
     # ------------------------------------------------------------------
     # Resumable stepping (the fleet-scheduler seam)
@@ -163,7 +191,9 @@ class ParkingSession:
         self._mode_switches = 0
         self._step_index = 0
         self._outcome: Optional[SessionOutcome] = None
-        self._batched_solver = None
+        self._batched_solver = (
+            BatchedGaussNewtonSolver() if spec.co_solver == "batched" else None
+        )
         self._started = True
         # Coordinated sessions stake their spawn pose before anyone moves,
         # so a lower-priority peer's very first frame already sees it.
@@ -196,22 +226,7 @@ class ParkingSession:
             self._finish_episode()
             return None
         pre_step_state = self._world.state
-        split = getattr(self._controller, "step_split", None)
-        if split is None:
-            control = self._controller.step(
-                pre_step_state,
-                self._world.current_obstacles(),
-                self._scenario.lot,
-                time=self._world.time,
-            )
-            return PendingStep(
-                step_index=self._step_index,
-                pre_step_state=pre_step_state,
-                request=None,
-                finish=lambda result=None, **kwargs: control,
-                control=control,
-            )
-        request, finish = split(
+        request, finish = self._controller.step_split(
             pre_step_state,
             self._world.current_obstacles(),
             self._scenario.lot,
@@ -224,18 +239,14 @@ class ParkingSession:
             finish=finish,
         )
 
-    def finish_step(self, pending: PendingStep, result=None, **finish_kwargs) -> StepEvent:
+    def finish_step(self, pending: PendingStep, result=None) -> StepEvent:
         """Complete a frame begun by :meth:`begin_step`.
 
-        ``result`` is the solver result for ``pending.request`` (ignored when
-        the request was ``None``).  Advances the world, assembles and
+        ``result`` is the solver result for ``pending.request`` (``None``
+        when the request was ``None``).  Advances the world, assembles and
         publishes the frame's :class:`StepEvent`.
         """
-        control = (
-            pending.control
-            if pending.control is not None
-            else pending.finish(result, **finish_kwargs)
-        )
+        control = pending.finish(result)
         step_result = self._world.step(control.action)
         if control.switched:
             self._mode_switches += 1
@@ -288,32 +299,10 @@ class ParkingSession:
     def complete_step(self, pending: PendingStep) -> StepEvent:
         """Solve ``pending``'s request locally and finish the frame.
 
-        Scalar specs solve with the request's own :class:`GaussNewtonSolver`;
-        ``co_solver="batched"`` specs route through
-        :meth:`~repro.co.solver.BatchedGaussNewtonSolver.solve_many` as a
-        batch of one — bitwise identical to the same problem solved inside
-        any fleet cohort, because ``solve_many`` is invariant to batch
-        composition.
+        ``co_solver="batched"`` specs solve as a batch of one, scalar specs
+        with the request's own solver (see :func:`solve_request`).
         """
-        request = pending.request
-        if request is None:
-            return self.finish_step(pending, None)
-        if self.spec.co_solver == "batched":
-            result = self._solve_batched(request)
-            return self.finish_step(
-                pending, result, jacobian_mode="analytic", backend="numpy"
-            )
-        result = request.solver.solve(request.problem, initial_controls=request.warm_start)
-        return self.finish_step(pending, result)
-
-    def _solve_batched(self, request):
-        if self._batched_solver is None:
-            from repro.co.solver import BatchedGaussNewtonSolver
-
-            self._batched_solver = BatchedGaussNewtonSolver()
-        return self._batched_solver.solve_many(
-            [request.problem], initial_controls=[request.warm_start]
-        )[0]
+        return self.finish_step(pending, solve_request(pending.request, self._batched_solver))
 
     def _finish_episode(self) -> None:
         spec = self.spec

@@ -1,9 +1,5 @@
 """Per-frame episode traces (used by the Fig. 5–7 reproductions).
 
-Historically defined in :mod:`repro.eval.runner`; now part of the public API
-layer.  ``repro.eval.runner`` re-exports :class:`EpisodeTrace` for backwards
-compatibility.
-
 This module also defines :func:`episode_trace_hash`, the canonical digest of
 an episode's :class:`~repro.api.events.StepEvent` stream — the unit of the
 fleet-wide bitwise-parity contract (see ``DETERMINISM.md``).

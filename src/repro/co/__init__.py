@@ -15,20 +15,11 @@ to the reference waypoints (Eq. 4) subject to collision-avoidance constraints
   solvers with box projection, standing in for CVXPY: analytic-Jacobian by
   default (finite differences kept as a reference oracle) plus a batched
   variant that solves many problems as stacked tensors,
-* :mod:`repro.co.backend` — the array-namespace seam (NumPy built in,
-  CuPy pluggable) the batched solver runs on,
 * :mod:`repro.co.batch` — stacked evaluation of many MPC problems,
 * :mod:`repro.co.controller` — the frame-by-frame CO controller ``f_CO`` with
   warm starting and solve-time instrumentation.
 """
 
-from repro.co.backend import (
-    ArrayBackend,
-    clear_array_backend,
-    current_array_backend,
-    install_array_backend,
-    resolve_backend,
-)
 from repro.co.batch import ProblemBatch
 from repro.co.constraints import (
     CollisionConstraintSet,
@@ -41,7 +32,6 @@ from repro.co.mpc import MPCProblem
 from repro.co.solver import BatchedGaussNewtonSolver, GaussNewtonSolver, SolverResult
 
 __all__ = [
-    "ArrayBackend",
     "BatchedGaussNewtonSolver",
     "COController",
     "COSolveInfo",
@@ -53,8 +43,4 @@ __all__ = [
     "ObstaclePrediction",
     "ProblemBatch",
     "SolverResult",
-    "clear_array_backend",
-    "current_array_backend",
-    "install_array_backend",
-    "resolve_backend",
 ]

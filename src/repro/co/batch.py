@@ -1,7 +1,7 @@
 """Stacked evaluation of many independent MPC problems as ``(B, ...)`` tensors.
 
-:class:`ProblemBatch` lifts ``B`` :class:`~repro.co.mpc.MPCProblem`
-instances onto one array backend: one batched rollout, one batched
+:class:`ProblemBatch` stacks ``B`` :class:`~repro.co.mpc.MPCProblem`
+instances into NumPy tensors: one batched rollout, one batched
 sensitivity chain and one batched residual/Jacobian assembly replace ``B``
 Python-level solver loops.  This is the evaluation engine behind
 :class:`~repro.co.solver.BatchedGaussNewtonSolver` — the solver itself only
@@ -29,7 +29,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.co.backend import ArrayBackend, resolve_backend
 from repro.co.mpc import MPCProblem
 
 
@@ -82,54 +81,52 @@ def structure_signature(problem: MPCProblem) -> Tuple:
 
 
 class ProblemBatch:
-    """``B`` independent MPC problems stacked onto one array backend."""
+    """``B`` independent MPC problems stacked into ``(B, ...)`` tensors."""
 
-    def __init__(self, problems: Sequence[MPCProblem], backend=None) -> None:
+    def __init__(self, problems: Sequence[MPCProblem]) -> None:
         if not problems:
             raise ValueError("ProblemBatch needs at least one problem")
         self.problems: List[MPCProblem] = list(problems)
-        self.backend: ArrayBackend = resolve_backend(backend)
-        xp = self.backend.xp
         first = self.problems[0]
         self.horizon = first.horizon
         self.num_variables = first.num_variables
         self.model = first.model
         self._validate_shared_structure()
 
-        self.initial_states = xp.asarray(
+        self.initial_states = np.asarray(
             [
                 [p.initial_state.x, p.initial_state.y, p.initial_state.heading, p.initial_state.velocity]
                 for p in self.problems
             ],
             dtype=float,
         )
-        self.references = xp.asarray(
+        self.references = np.asarray(
             np.stack([p.reference_positions for p in self.problems]), dtype=float
         )
         self.has_headings = first.reference_headings is not None
         self.reference_headings = (
-            xp.asarray(np.stack([p.reference_headings for p in self.problems]), dtype=float)
+            np.asarray(np.stack([p.reference_headings for p in self.problems]), dtype=float)
             if self.has_headings
             else None
         )
         # Per-problem box bounds, broadcast over the horizon axis.
-        self.lower = xp.asarray(
+        self.lower = np.asarray(
             [[-p.bounds.max_deceleration, -p.bounds.max_steer] for p in self.problems],
             dtype=float,
         )[:, None, :]
-        self.upper = xp.asarray(
+        self.upper = np.asarray(
             [[p.bounds.max_acceleration, p.bounds.max_steer] for p in self.problems],
             dtype=float,
         )[:, None, :]
-        self.ego_offsets = xp.asarray(first.ego_circle_offsets, dtype=float)
+        self.ego_offsets = np.asarray(first.ego_circle_offsets, dtype=float)
 
         self._sqrt_position = float(np.sqrt(first.position_weight))
         self._sqrt_heading = float(np.sqrt(first.heading_weight))
         self._sqrt_control = float(np.sqrt(first.control_weight))
         self._sqrt_smooth = float(np.sqrt(first.smoothness_weight))
         self._collision_weight = float(first.collision_weight)
-        self._smoothness = xp.asarray(first._smoothness_matrix(), dtype=float)
-        self._identity = xp.eye(self.num_variables)
+        self._smoothness = np.asarray(first._smoothness_matrix(), dtype=float)
+        self._identity = np.eye(self.num_variables)
 
         # Collision regime (see module docstring).
         circle_totals = {
@@ -158,8 +155,8 @@ class ProblemBatch:
                 )
                 per_problem_circles.append(circles)
                 per_problem_clearances.append(clearances)
-            self._obstacle_circles = xp.asarray(np.stack(per_problem_circles), dtype=float)
-            self._clearances = xp.asarray(np.stack(per_problem_clearances), dtype=float)
+            self._obstacle_circles = np.asarray(np.stack(per_problem_circles), dtype=float)
+            self._clearances = np.asarray(np.stack(per_problem_clearances), dtype=float)
 
     def __len__(self) -> int:
         return len(self.problems)
@@ -198,24 +195,22 @@ class ProblemBatch:
             for index, warm in enumerate(warm_starts):
                 if warm is not None:
                     stacked[index] = np.asarray(warm, dtype=float).reshape(self.horizon, 2)
-        return self.clip(self.backend.asarray(stacked))
+        return self.clip(stacked)
 
     def clip(self, controls, indices=None):
         """Per-problem box projection of a ``(K, H, 2)`` control tensor."""
-        xp = self.backend.xp
         lower = self.lower if indices is None else self.lower[indices]
         upper = self.upper if indices is None else self.upper[indices]
-        return xp.clip(controls, lower, upper)
+        return np.clip(controls, lower, upper)
 
     # ------------------------------------------------------------------
     # Batched evaluation
     # ------------------------------------------------------------------
     def _ego_centers(self, states):
         """Covering-circle centres ``(K, H, E, 2)`` for batched states."""
-        xp = self.backend.xp
         future = states[:, 1:]
         headings = future[:, :, 2]
-        directions = xp.stack([xp.cos(headings), xp.sin(headings)], axis=2)
+        directions = np.stack([np.cos(headings), np.sin(headings)], axis=2)
         return (
             future[:, :, None, :2]
             + self.ego_offsets[None, None, :, None] * directions[:, :, None, :]
@@ -223,7 +218,6 @@ class ProblemBatch:
 
     def _base_residuals(self, states, controls, indices):
         """Stacked tracking/control/smoothness residuals ``(K, R0)``."""
-        xp = self.backend.xp
         future = states[:, 1:]
         batch = states.shape[0]
         parts = [
@@ -233,47 +227,44 @@ class ProblemBatch:
         ]
         if self.has_headings:
             delta = future[:, :, 2] - self.reference_headings[indices]
-            parts.append(xp.arctan2(xp.sin(delta), xp.cos(delta)) * self._sqrt_heading)
+            parts.append(np.arctan2(np.sin(delta), np.cos(delta)) * self._sqrt_heading)
         parts.append(controls.reshape(batch, -1) * self._sqrt_control)
         if self.horizon > 1:
             parts.append(
                 (controls[:, 1:] - controls[:, :-1]).reshape(batch, -1) * self._sqrt_smooth
             )
-        return xp.concatenate(parts, axis=1)
+        return np.concatenate(parts, axis=1)
 
     def _stacked_collision_violations(self, ego_centers, indices):
         """Hinge violations ``(K, H, C, E)`` in the stacked regime."""
-        xp = self.backend.xp
         circles = self._obstacle_circles[indices]
         deltas = circles[:, :, :, None, :] - ego_centers[:, :, None, :, :]
-        distances = xp.sqrt(xp.sum(deltas * deltas, axis=-1))
-        violations = xp.maximum(
+        distances = np.sqrt(np.sum(deltas * deltas, axis=-1))
+        violations = np.maximum(
             0.0, self._clearances[indices][:, None, :, None] - distances
         )
         return violations, deltas, distances
 
     def objectives(self, controls, indices) -> np.ndarray:
         """Sum-of-squares objectives ``(K,)`` at the given control tensors."""
-        xp = self.backend.xp
-        states = self.model.rollout_batch(self.initial_states[indices], controls, xp=xp)
+        states = self.model.rollout_batch(self.initial_states[indices], controls)
         base = self._base_residuals(states, controls, indices)
-        totals = xp.sum(base * base, axis=1)
+        totals = np.sum(base * base, axis=1)
         if self.stacked_collision:
             if self._obstacle_circles is not None:
                 ego_centers = self._ego_centers(states)
                 violations, _, _ = self._stacked_collision_violations(ego_centers, indices)
-                totals = totals + self._collision_weight * xp.sum(
+                totals = totals + self._collision_weight * np.sum(
                     violations.reshape(violations.shape[0], -1) ** 2, axis=1
                 )
             return totals
-        ego_centers = self.backend.to_numpy(self._ego_centers(states))
-        totals = self.backend.to_numpy(totals).copy()
+        ego_centers = self._ego_centers(states)
         for row, problem_index in enumerate(np.asarray(indices).ravel()):
             problem = self.problems[int(problem_index)]
             violations = problem._violations_from_centers(ego_centers[row])
             if violations.size:
                 totals[row] += self._collision_weight * float(violations @ violations)
-        return self.backend.asarray(totals)
+        return totals
 
     def grams(self, controls, indices):
         """Objectives, gradients and Gauss-Newton matrices at ``controls``.
@@ -284,11 +275,10 @@ class ProblemBatch:
         residual row order, which is what lets the mixed regime accumulate
         per-problem collision blocks into the batched matrices).
         """
-        xp = self.backend.xp
         batch = controls.shape[0]
         n = self.num_variables
         states, sensitivities = self.model.rollout_batch_with_sensitivities(
-            self.initial_states[indices], controls, xp=xp
+            self.initial_states[indices], controls
         )
         sens_flat = sensitivities.transpose(0, 1, 3, 2, 4).reshape(
             batch, self.horizon, 4, n
@@ -297,55 +287,45 @@ class ProblemBatch:
 
         residual_parts = [self._base_residuals(states, controls, indices)]
         jacobian_parts = [self._base_jacobian(sens_flat)]
-        objectives = None
         if self.stacked_collision and self._obstacle_circles is not None:
             ego_centers = self._ego_centers(states)
             center_jac = self._center_jacobians(future, sens_flat)
             violations, deltas, distances = self._stacked_collision_violations(
                 ego_centers, indices
             )
-            safe = xp.where(distances > 1e-12, distances, 1.0)
-            directions = xp.where(
+            safe = np.where(distances > 1e-12, distances, 1.0)
+            directions = np.where(
                 (violations > 0.0)[..., None], deltas / safe[..., None], 0.0
             )
-            rows = xp.einsum("bhcek,bhekn->bhcen", directions, center_jac)
+            rows = np.einsum("bhcek,bhekn->bhcen", directions, center_jac)
             sqrt_collision = float(np.sqrt(self._collision_weight))
             residual_parts.append(
                 violations.reshape(batch, -1) * sqrt_collision
             )
             jacobian_parts.append(rows.reshape(batch, -1, n) * sqrt_collision)
-        residuals = xp.concatenate(residual_parts, axis=1)
-        jacobians = xp.concatenate(jacobian_parts, axis=1)
-        gradients = xp.einsum("brn,br->bn", jacobians, residuals)
-        hessians = xp.matmul(xp.swapaxes(jacobians, 1, 2), jacobians)
-        objectives = xp.sum(residuals * residuals, axis=1)
+        residuals = np.concatenate(residual_parts, axis=1)
+        jacobians = np.concatenate(jacobian_parts, axis=1)
+        gradients = np.einsum("brn,br->bn", jacobians, residuals)
+        hessians = np.matmul(np.swapaxes(jacobians, 1, 2), jacobians)
+        objectives = np.sum(residuals * residuals, axis=1)
 
         if not self.stacked_collision:
-            states_np = self.backend.to_numpy(states)
-            sens_np = self.backend.to_numpy(sens_flat)
-            gradients_np = self.backend.to_numpy(gradients).copy()
-            hessians_np = self.backend.to_numpy(hessians).copy()
-            objectives_np = self.backend.to_numpy(objectives).copy()
             for row, problem_index in enumerate(np.asarray(indices).ravel()):
                 problem = self.problems[int(problem_index)]
                 if not problem.obstacle_predictions and problem.field_constraint is None:
                     continue
-                violations, rows = problem.collision_rows(states_np[row], sens_np[row])
+                violations, rows = problem.collision_rows(states[row], sens_flat[row])
                 if not violations.size:
                     continue
                 weighted_rows = rows * float(np.sqrt(self._collision_weight))
                 weighted_violations = violations * float(np.sqrt(self._collision_weight))
-                gradients_np[row] += weighted_rows.T @ weighted_violations
-                hessians_np[row] += weighted_rows.T @ weighted_rows
-                objectives_np[row] += float(weighted_violations @ weighted_violations)
-            gradients = self.backend.asarray(gradients_np)
-            hessians = self.backend.asarray(hessians_np)
-            objectives = self.backend.asarray(objectives_np)
+                gradients[row] += weighted_rows.T @ weighted_violations
+                hessians[row] += weighted_rows.T @ weighted_rows
+                objectives[row] += float(weighted_violations @ weighted_violations)
         return objectives, gradients, hessians
 
     def _base_jacobian(self, sens_flat):
         """Stacked Jacobian of the base residual blocks ``(K, R0, n)``."""
-        xp = self.backend.xp
         batch = sens_flat.shape[0]
         n = self.num_variables
         parts = [
@@ -354,22 +334,21 @@ class ProblemBatch:
         if self.has_headings:
             parts.append(sens_flat[:, :, 2, :] * self._sqrt_heading)
         parts.append(
-            xp.broadcast_to(self._identity * self._sqrt_control, (batch, n, n))
+            np.broadcast_to(self._identity * self._sqrt_control, (batch, n, n))
         )
         if self.horizon > 1:
             parts.append(
-                xp.broadcast_to(
+                np.broadcast_to(
                     self._smoothness * self._sqrt_smooth,
                     (batch,) + self._smoothness.shape,
                 )
             )
-        return xp.concatenate(parts, axis=1)
+        return np.concatenate(parts, axis=1)
 
     def _center_jacobians(self, future, sens_flat):
         """Batched ``d centre / d U`` of shape ``(K, H, E, 2, n)``."""
-        xp = self.backend.xp
         headings = future[:, :, 2]
-        turn = xp.stack([-xp.sin(headings), xp.cos(headings)], axis=2)
+        turn = np.stack([-np.sin(headings), np.cos(headings)], axis=2)
         return (
             sens_flat[:, :, None, 0:2, :]
             + self.ego_offsets[None, None, :, None, None]

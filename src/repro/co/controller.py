@@ -18,14 +18,13 @@ scenario-complexity model (Eq. 8) is calibrated against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.co.backend import resolve_backend
 from repro.co.constraints import CollisionConstraintSet, ControlBounds
 from repro.co.mpc import MPCProblem
-from repro.co.solver import BatchedGaussNewtonSolver, GaussNewtonSolver, SolverResult
+from repro.co.solver import GaussNewtonSolver, SolverResult
 from repro.perception.detector import Detection
 from repro.spatial import SpatialIndex
 from repro.planning.progress import SegmentedPathFollower
@@ -69,10 +68,6 @@ class COSolveInfo:
     # ESDF-gradient formulation shrinks (the solve-time benchmark records
     # both formulations' numbers side by side).
     collision_residuals: int = 0
-    # How the convex subproblems were linearised ("analytic" or "fd") and
-    # which array backend evaluated them ("numpy", "cupy", ...).
-    jacobian_mode: str = "analytic"
-    backend: str = "numpy"
 
 
 class COController:
@@ -162,92 +157,8 @@ class COController:
         batched ``solve_many``) and completes the step: diagnostics,
         warm-start update, infeasibility fallback.  ``finish(result)`` with
         a result from ``request.solver`` is bitwise-identical to
-        :meth:`act`; an external caller that solved differently passes its
-        own ``jacobian_mode`` / ``backend`` labels for the diagnostics.
+        :meth:`act`.
         """
-        problem, warm_start, reference_speed = self._prepare(state, detections, time)
-
-        def finish(
-            result: SolverResult,
-            jacobian_mode: Optional[str] = None,
-            backend: str = "numpy",
-        ) -> Action:
-            mode = (
-                jacobian_mode
-                if jacobian_mode is not None
-                else getattr(self.solver, "jacobian", "analytic")
-            )
-            return self._finalize(
-                state,
-                detections,
-                problem,
-                result,
-                reference_speed,
-                jacobian_mode=mode,
-                backend=backend,
-            )
-
-        return COSolveRequest(problem=problem, warm_start=warm_start, solver=self.solver), finish
-
-    @staticmethod
-    def act_many(
-        controllers: Sequence["COController"],
-        states: Sequence[VehicleState],
-        detections_list: Optional[Sequence[Sequence[Detection]]] = None,
-        times: Optional[Sequence[float]] = None,
-        solver: Optional[BatchedGaussNewtonSolver] = None,
-        backend=None,
-    ) -> List[Action]:
-        """One batched MPC solve for a fleet of controllers.
-
-        Each controller prepares its own problem (reference extraction,
-        constraint build, warm start) exactly as :meth:`act` would; the
-        control sequences are then found by a single
-        :meth:`~repro.co.solver.BatchedGaussNewtonSolver.solve_many` call
-        and finalised per controller (warm-start update, diagnostics,
-        infeasibility fallback).
-        """
-        if len(states) != len(controllers):
-            raise ValueError(f"{len(states)} states for {len(controllers)} controllers")
-        if detections_list is None:
-            detections_list = [() for _ in controllers]
-        if times is None:
-            times = [0.0 for _ in controllers]
-        solver = solver or BatchedGaussNewtonSolver(backend=backend)
-        prepared = [
-            controller._prepare(state, detections, time)
-            for controller, state, detections, time in zip(
-                controllers, states, detections_list, times
-            )
-        ]
-        results = solver.solve_many(
-            [problem for problem, _, _ in prepared],
-            initial_controls=[warm for _, warm, _ in prepared],
-            backend=backend,
-        )
-        backend_name = resolve_backend(backend if backend is not None else solver.backend).name
-        return [
-            controller._finalize(
-                state,
-                detections,
-                problem,
-                result,
-                reference_speed,
-                jacobian_mode="analytic",
-                backend=backend_name,
-            )
-            for controller, state, detections, (problem, _, reference_speed), result in zip(
-                controllers, states, detections_list, prepared, results
-            )
-        ]
-
-    def _prepare(
-        self,
-        state: VehicleState,
-        detections: Sequence[Detection],
-        time: float,
-    ):
-        """Build this frame's MPC problem, warm start and reference speed."""
         if self._reference_path is None:
             raise RuntimeError("COController.act called before set_reference_path()")
 
@@ -272,7 +183,11 @@ class COController:
             ego_circle_radius=self.constraint_set.ego_circle_radius,
         )
         warm_start = self._shifted_warm_start(direction, reference_speed)
-        return problem, warm_start, reference_speed
+
+        def finish(result: SolverResult) -> Action:
+            return self._finalize(state, detections, problem, result, reference_speed)
+
+        return COSolveRequest(problem=problem, warm_start=warm_start, solver=self.solver), finish
 
     def _finalize(
         self,
@@ -281,8 +196,6 @@ class COController:
         problem: MPCProblem,
         result: SolverResult,
         reference_speed: float,
-        jacobian_mode: str,
-        backend: str,
     ) -> Action:
         """Record diagnostics and convert a solver result into an action."""
         self._warm_start = result.controls
@@ -306,8 +219,6 @@ class COController:
             horizon=self.horizon,
             reference_speed=reference_speed,
             collision_residuals=collision_residuals,
-            jacobian_mode=jacobian_mode,
-            backend=backend,
         )
 
         control = KinematicControl(

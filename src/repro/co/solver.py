@@ -186,11 +186,10 @@ class BatchedGaussNewtonSolver:
 
     Mirrors :class:`GaussNewtonSolver`'s iteration — analytic linearisation,
     Levenberg-Marquardt damping, box projection, backtracking line search —
-    but evaluates all problems as ``(B, ...)`` tensors on an array backend
-    (:mod:`repro.co.backend`).  Damping, acceptance and convergence are
-    tracked per problem: converged problems drop out of the active subset,
-    and within the line search only still-rejected problems retry with
-    increased damping.
+    but evaluates all problems as ``(B, ...)`` NumPy tensors.  Damping,
+    acceptance and convergence are tracked per problem: converged problems
+    drop out of the active subset, and within the line search only
+    still-rejected problems retry with increased damping.
 
     Matches per-problem :class:`GaussNewtonSolver` results to round-off (the
     batched rollout wraps headings with ``mod`` rather than scalar ``fmod``,
@@ -203,7 +202,6 @@ class BatchedGaussNewtonSolver:
         tolerance: float = 1e-4,
         damping: float = 1e-2,
         max_line_search_steps: int = 6,
-        backend=None,
     ) -> None:
         if max_iterations <= 0:
             raise ValueError(f"max_iterations must be positive, got {max_iterations}")
@@ -213,13 +211,11 @@ class BatchedGaussNewtonSolver:
         self.tolerance = tolerance
         self.damping = damping
         self.max_line_search_steps = max_line_search_steps
-        self.backend = backend
 
     def solve_many(
         self,
         problems: Union[Sequence[MPCProblem], ProblemBatch],
         initial_controls: Optional[Sequence[Optional[np.ndarray]]] = None,
-        backend=None,
     ) -> List[SolverResult]:
         """Solve ``B`` independent problems in one batched iteration loop.
 
@@ -230,25 +226,15 @@ class BatchedGaussNewtonSolver:
             :class:`~repro.co.batch.ProblemBatch`.
         initial_controls:
             Optional per-problem warm starts (``None`` entries cold-start).
-        backend:
-            Array backend override for this call (name, instance, or
-            ``None`` for the solver's / installed default).
         """
         start_time = time.perf_counter()
-        if isinstance(problems, ProblemBatch):
-            batch = problems
-        else:
-            batch = ProblemBatch(
-                problems, backend=backend if backend is not None else self.backend
-            )
-        resolved = batch.backend
-        xp = resolved.xp
+        batch = problems if isinstance(problems, ProblemBatch) else ProblemBatch(problems)
         size = len(batch)
         horizon = batch.horizon
 
         controls = batch.initial_controls(initial_controls)
         all_indices = np.arange(size)
-        objectives = resolved.to_numpy(batch.objectives(controls, all_indices)).copy()
+        objectives = batch.objectives(controls, all_indices)
         damping = np.full(size, self.damping)
         converged = np.zeros(size, dtype=bool)
         iterations = np.zeros(size, dtype=int)
@@ -268,28 +254,27 @@ class BatchedGaussNewtonSolver:
                 if remaining.size == 0:
                     break
                 subset = active[remaining]
-                damp = resolved.asarray(damping[subset])
-                regularised = hessians[remaining] + damp[:, None, None] * batch._identity
+                regularised = (
+                    hessians[remaining] + damping[subset][:, None, None] * batch._identity
+                )
                 rhs = -gradients[remaining]
                 try:
-                    steps = resolved.solve(regularised, rhs)
+                    steps = np.linalg.solve(regularised, rhs[..., None])[..., 0]
                 except np.linalg.LinAlgError:
                     # A singular system anywhere poisons the batched solve;
                     # fall back per problem, zero steps for the singular
                     # ones (a zero step is never accepted, so they retry
                     # with increased damping like the scalar path).
-                    steps = xp.zeros_like(rhs)
+                    steps = np.zeros_like(rhs)
                     for row in range(remaining.size):
                         try:
-                            steps[row] = xp.linalg.solve(regularised[row], rhs[row])
+                            steps[row] = np.linalg.solve(regularised[row], rhs[row])
                         except np.linalg.LinAlgError:
                             pass
                 candidates = batch.clip(
                     controls[subset] + steps.reshape(-1, horizon, 2), subset
                 )
-                candidate_objectives = resolved.to_numpy(
-                    batch.objectives(candidates, subset)
-                )
+                candidate_objectives = batch.objectives(candidates, subset)
                 accepted = candidate_objectives < objectives[subset] - 1e-12
                 accepted_positions = remaining[accepted]
                 accepted_indices = active[accepted_positions]
@@ -310,15 +295,12 @@ class BatchedGaussNewtonSolver:
             converged[active[~improved]] = True
 
         # One batched rollout feeds every problem's feasibility check.
-        final_states = resolved.to_numpy(
-            batch.model.rollout_batch(batch.initial_states, controls, xp=xp)
-        )
-        controls_np = resolved.to_numpy(controls)
+        final_states = batch.model.rollout_batch(batch.initial_states, controls)
         elapsed = time.perf_counter() - start_time
         per_problem_time = elapsed / size
         results: List[SolverResult] = []
         for index, problem in enumerate(batch.problems):
-            final = np.asarray(controls_np[index], dtype=float).copy()
+            final = controls[index].copy()
             violations = problem.constraint_violations(final_states[index])
             feasible = bool(violations.size == 0 or float(violations.max()) <= 1e-3)
             results.append(

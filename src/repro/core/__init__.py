@@ -7,7 +7,8 @@ This is the paper's primary contribution (§III–IV):
 * :mod:`repro.core.controller` — the integrated iCOIL controller that runs
   perception, always evaluates the IL policy (its output distribution feeds
   HSA), and executes either the IL or the CO command depending on the HSA
-  score, with a guard time smoothing transitions,
+  score, with a guard time smoothing transitions; also the
+  :class:`ControlStep` every controller's ``step_split`` finish returns,
 * :mod:`repro.core.baselines` — the pure-IL and pure-CO baselines used in the
   paper's comparison,
 * :mod:`repro.core.config` — configuration shared by the above.
@@ -22,11 +23,12 @@ from repro.core.determinism import (
     verify_seed,
 )
 from repro.core.config import ICOILConfig
-from repro.core.controller import DrivingMode, ICOILController, ICOILStepInfo
+from repro.core.controller import ControlStep, DrivingMode, ICOILController
 from repro.core.hsa import HSAModel, HSAReading
 
 __all__ = [
     "COOnlyController",
+    "ControlStep",
     "DrivingMode",
     "check_hash_seed",
     "derive_rng",
@@ -35,7 +37,6 @@ __all__ = [
     "HSAReading",
     "ICOILConfig",
     "ICOILController",
-    "ICOILStepInfo",
     "ILOnlyController",
     "require_matching_hash_seed",
     "verify_seed",

@@ -6,38 +6,24 @@
   evaluated in the paper's tables but included as a natural ablation (and
   used by the execution-frequency benchmark).
 
-Both expose the same ``prepare`` / ``step`` interface as
-:class:`repro.core.controller.ICOILController` so the evaluation harness can
-drive any of them interchangeably.
+Both speak the same ``step_split`` protocol as
+:class:`repro.core.controller.ICOILController`, so a session can drive any
+of them interchangeably.
 """
 
 from __future__ import annotations
 
-import time as time_module
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-import numpy as np
-
-from repro.co.controller import COController, COSolveInfo
+from repro.co.controller import COController
+from repro.core.controller import ControlStep
 from repro.il.policy import ILPolicy
 from repro.perception.bev import BEVRenderer
 from repro.perception.detector import ObjectDetector
 from repro.planning.waypoints import WaypointPath
-from repro.vehicle.actions import Action
 from repro.vehicle.state import VehicleState
 from repro.world.obstacles import Obstacle
 from repro.world.parking_lot import ParkingLot
-
-
-@dataclass(frozen=True)
-class BaselineStepInfo:
-    """Telemetry of one baseline control step."""
-
-    action: Action
-    inference_time: float
-    il_probabilities: Optional[np.ndarray] = None
-    co_solve_info: Optional[COSolveInfo] = None
 
 
 class ILOnlyController:
@@ -46,68 +32,6 @@ class ILOnlyController:
     def __init__(self, il_policy: ILPolicy, renderer: Optional[BEVRenderer] = None) -> None:
         self.il_policy = il_policy
         self.renderer = renderer or BEVRenderer()
-        self._history: List[BaselineStepInfo] = []
-
-    def prepare(self, reference_path: Optional[WaypointPath] = None) -> None:
-        """IL needs no reference path; accepted for interface compatibility."""
-        self._history = []
-
-    @property
-    def history(self) -> List[BaselineStepInfo]:
-        return list(self._history)
-
-    def step(
-        self,
-        state: VehicleState,
-        obstacles: Sequence[Obstacle],
-        lot: ParkingLot,
-        time: float = 0.0,
-    ) -> BaselineStepInfo:
-        image = self.renderer.render(state, obstacles, lot)
-        start = time_module.perf_counter()
-        action, probabilities = self.il_policy.predict_action(image)
-        elapsed = time_module.perf_counter() - start
-        info = BaselineStepInfo(action=action, inference_time=elapsed, il_probabilities=probabilities)
-        self._history.append(info)
-        return info
-
-    def act(
-        self,
-        state: VehicleState,
-        obstacles: Sequence[Obstacle],
-        lot: ParkingLot,
-        time: float = 0.0,
-    ) -> Action:
-        return self.step(state, obstacles, lot, time=time).action
-
-
-class COOnlyController:
-    """Constrained optimization at every frame (pure-CO ablation)."""
-
-    def __init__(self, co_controller: COController, detector: Optional[ObjectDetector] = None) -> None:
-        self.co_controller = co_controller
-        self.detector = detector or ObjectDetector()
-        self._history: List[BaselineStepInfo] = []
-
-    def prepare(self, reference_path: WaypointPath) -> None:
-        self.co_controller.set_reference_path(reference_path)
-        self.co_controller.reset()
-        self._history = []
-
-    @property
-    def history(self) -> List[BaselineStepInfo]:
-        return list(self._history)
-
-    def step(
-        self,
-        state: VehicleState,
-        obstacles: Sequence[Obstacle],
-        lot: ParkingLot,
-        time: float = 0.0,
-    ) -> BaselineStepInfo:
-        request, finish = self.step_split(state, obstacles, lot, time=time)
-        result = request.solver.solve(request.problem, initial_controls=request.warm_start)
-        return finish(result)
 
     def step_split(
         self,
@@ -116,34 +40,37 @@ class COOnlyController:
         lot: ParkingLot,
         time: float = 0.0,
     ):
-        """Split :meth:`step` at the MPC solve: ``(request, finish)``.
+        """Render and infer now; pure IL has no solve, so the request is ``None``."""
+        image = self.renderer.render(state, obstacles, lot)
+        action, _ = self.il_policy.predict_action(image)
+        control = ControlStep(action=action, mode="il")
+        return None, lambda result: control
 
-        Every frame of this baseline is a CO frame, so the request is never
-        ``None``; ``finish`` accepts the solver result (from any bitwise-
-        equivalent solve path) and completes the step's bookkeeping.
-        """
-        detections = self.detector.detect(state, obstacles, time=time)
-        start = time_module.perf_counter()
-        request, finish_co = self.co_controller.act_split(state, detections, time=time)
 
-        def finish(result, jacobian_mode=None, backend: str = "numpy") -> BaselineStepInfo:
-            action = finish_co(result, jacobian_mode=jacobian_mode, backend=backend)
-            elapsed = time_module.perf_counter() - start
-            info = BaselineStepInfo(
-                action=action,
-                inference_time=elapsed,
-                co_solve_info=self.co_controller.last_info,
-            )
-            self._history.append(info)
-            return info
+class COOnlyController:
+    """Constrained optimization at every frame (pure-CO ablation)."""
 
-        return request, finish
+    def __init__(self, co_controller: COController, detector: Optional[ObjectDetector] = None) -> None:
+        self.co_controller = co_controller
+        self.detector = detector or ObjectDetector()
 
-    def act(
+    def prepare(self, reference_path: WaypointPath) -> None:
+        self.co_controller.set_reference_path(reference_path)
+        self.co_controller.reset()
+
+    def step_split(
         self,
         state: VehicleState,
         obstacles: Sequence[Obstacle],
         lot: ParkingLot,
         time: float = 0.0,
-    ) -> Action:
-        return self.step(state, obstacles, lot, time=time).action
+    ):
+        """Detect and build the MPC problem now; ``finish`` takes its solution.
+
+        Every frame of this baseline is a CO frame, so the request is never
+        ``None``; ``finish`` accepts the solver result from any bitwise-
+        equivalent solve path.
+        """
+        detections = self.detector.detect(state, obstacles, time=time)
+        request, finish_co = self.co_controller.act_split(state, detections, time=time)
+        return request, lambda result: ControlStep(action=finish_co(result), mode="co")

@@ -6,18 +6,23 @@ always feeds HSA, regardless of the active mode), runs the object detector
 for the CO constraints, evaluates HSA and executes either the IL action or
 the CO action.  A guard time keeps the mode fixed for a number of frames
 after each switch to smooth the transition (§V-C).
+
+Every controller, this one included, speaks one protocol:
+``step_split(state, obstacles, lot, time) -> (request | None, finish)``,
+where ``request`` is the frame's MPC solve (``None`` when the frame has
+none) and ``finish(result)`` turns the solver result into a
+:class:`ControlStep`.
 """
 
 from __future__ import annotations
 
 import enum
-import time as time_module
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.co.controller import COController, COSolveInfo
+from repro.co.controller import COController
 from repro.core.config import ICOILConfig
 from repro.core.hsa import HSAModel, HSAReading, hsa_obstacle_distances
 from repro.il.policy import ILPolicy
@@ -31,30 +36,22 @@ from repro.world.obstacles import Obstacle
 from repro.world.parking_lot import ParkingLot
 
 
+@dataclass(frozen=True)
+class ControlStep:
+    """One control decision, in the shape every controller's ``finish`` returns."""
+
+    action: Action
+    mode: str
+    uncertainty: float = 0.0
+    hsa_score: float = 0.0
+    switched: bool = False
+
+
 class DrivingMode(enum.Enum):
     """The two candidate working modes of iCOIL."""
 
     IL = "il"
     CO = "co"
-
-
-@dataclass(frozen=True)
-class ICOILStepInfo:
-    """Telemetry of one iCOIL control step (used by Fig. 6–7 reproductions)."""
-
-    mode: DrivingMode
-    action: Action
-    hsa: HSAReading
-    il_probabilities: np.ndarray
-    num_detections: int
-    il_inference_time: float
-    co_solve_info: Optional[COSolveInfo]
-    switched: bool
-
-    @property
-    def uncertainty(self) -> float:
-        """Average scenario uncertainty ``U_i`` at this frame."""
-        return self.hsa.average_uncertainty
 
 
 class ICOILController:
@@ -99,7 +96,6 @@ class ICOILController:
         self.hsa = HSAModel(self.config, num_classes=il_policy.action_space.num_classes)
         self._mode = DrivingMode.CO
         self._frames_since_switch = 0
-        self._history: List[ICOILStepInfo] = []
 
     # ------------------------------------------------------------------
     # Setup
@@ -111,34 +107,14 @@ class ICOILController:
         self.hsa.reset()
         self._mode = DrivingMode.CO
         self._frames_since_switch = 0
-        self._history = []
 
     @property
     def mode(self) -> DrivingMode:
         return self._mode
 
-    @property
-    def history(self) -> List[ICOILStepInfo]:
-        """Per-frame telemetry recorded since the last :meth:`prepare`."""
-        return list(self._history)
-
     # ------------------------------------------------------------------
     # Control
     # ------------------------------------------------------------------
-    def step(
-        self,
-        state: VehicleState,
-        obstacles: Sequence[Obstacle],
-        lot: ParkingLot,
-        time: float = 0.0,
-    ) -> ICOILStepInfo:
-        """Run one full perception + decision + control cycle."""
-        request, finish = self.step_split(state, obstacles, lot, time=time)
-        if request is None:
-            return finish(None)
-        result = request.solver.solve(request.problem, initial_controls=request.warm_start)
-        return finish(result)
-
     def step_split(
         self,
         state: VehicleState,
@@ -146,7 +122,7 @@ class ICOILController:
         lot: ParkingLot,
         time: float = 0.0,
     ):
-        """Split :meth:`step` at the MPC solve: ``(request, finish)``.
+        """One perception + decision + control cycle, split at the MPC solve.
 
         Runs perception, HSA and the mode decision now.  On a CO frame the
         returned request is this frame's MPC problem and ``finish`` expects
@@ -156,9 +132,7 @@ class ICOILController:
         problem into one batched solve per tick.
         """
         image = self.renderer.render(state, obstacles, lot)
-        il_start = time_module.perf_counter()
         il_action, probabilities = self.il_policy.predict_action(image)
-        il_inference_time = time_module.perf_counter() - il_start
 
         detections = self.detector.detect(state, obstacles, time=time)
         obstacle_distances = hsa_obstacle_distances(state.position, detections)
@@ -178,42 +152,22 @@ class ICOILController:
         )
         switched = self._update_mode(reading)
 
+        mode = self._mode
         finish_co = None
         request = None
-        if self._mode is DrivingMode.CO:
+        if mode is DrivingMode.CO:
             request, finish_co = self.co_controller.act_split(state, detections, time=time)
 
-        def finish(result, jacobian_mode=None, backend: str = "numpy") -> ICOILStepInfo:
-            co_info: Optional[COSolveInfo] = None
-            if finish_co is not None:
-                action = finish_co(result, jacobian_mode=jacobian_mode, backend=backend)
-                co_info = self.co_controller.last_info
-            else:
-                action = il_action
-            info = ICOILStepInfo(
-                mode=self._mode,
-                action=action,
-                hsa=reading,
-                il_probabilities=probabilities,
-                num_detections=len(detections),
-                il_inference_time=il_inference_time,
-                co_solve_info=co_info,
+        def finish(result) -> ControlStep:
+            return ControlStep(
+                action=finish_co(result) if finish_co is not None else il_action,
+                mode=mode.value,
+                uncertainty=reading.normalized_uncertainty,
+                hsa_score=reading.score,
                 switched=switched,
             )
-            self._history.append(info)
-            return info
 
         return request, finish
-
-    def act(
-        self,
-        state: VehicleState,
-        obstacles: Sequence[Obstacle],
-        lot: ParkingLot,
-        time: float = 0.0,
-    ) -> Action:
-        """Convenience wrapper returning only the action."""
-        return self.step(state, obstacles, lot, time=time).action
 
     # ------------------------------------------------------------------
     # Mode switching (Eq. 1 + guard time)

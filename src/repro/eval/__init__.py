@@ -2,10 +2,6 @@
 
 * :mod:`repro.eval.metrics` — re-exports the result/aggregate types from
   :mod:`repro.api.results` (success rate, average / max / min parking time),
-* :mod:`repro.eval.runner` — the legacy :class:`EpisodeRunner`, reduced to
-  the registry-backed ``build_controller`` convenience (its episode/batch
-  shims are gone: use :class:`repro.api.ParkingSession` /
-  :class:`repro.api.BatchExecutor`),
 * :mod:`repro.eval.training` — trains (and caches) the default IL policy used
   across experiments,
 * :mod:`repro.eval.experiments` — one entry point per table / figure of the
@@ -16,7 +12,7 @@ New code should run episodes through :mod:`repro.api` directly.
 """
 
 from repro.eval.metrics import EpisodeResult, MethodStatistics, aggregate_results
-from repro.eval.runner import EpisodeRunner, EpisodeTrace
+from repro.api.trace import EpisodeTrace
 from repro.eval.training import train_default_policy, default_policy_path
 from repro.eval.experiments import (
     ExecutionFrequencyResult,
@@ -38,7 +34,6 @@ from repro.eval.report import format_fig8_grid, format_scenario_matrix, format_t
 
 __all__ = [
     "EpisodeResult",
-    "EpisodeRunner",
     "EpisodeTrace",
     "ExecutionFrequencyResult",
     "Fig8Cell",

@@ -7,8 +7,8 @@ qualitative shape and print the same rows/series the paper reports.
 All experiments run through the :mod:`repro.api` session layer: single
 episodes via :class:`~repro.api.session.ParkingSession` and batches via
 :class:`~repro.api.executor.BatchExecutor` (worker pool, deterministic
-seed-major result ordering).  The ``runner`` parameters are kept for
-backwards compatibility and act as a bundle of policy + configuration.
+seed-major result ordering).  Each takes the iCOIL ``config`` and the
+episode ``time_limit`` as keywords.
 
 | Function                          | Paper artefact                     |
 |-----------------------------------|------------------------------------|
@@ -39,11 +39,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.api.executor import BatchExecutor
-from repro.api.session import ParkingSession, SessionOutcome
+from repro.api.registry import ControllerContext, default_registry
+from repro.api.session import ParkingSession, SessionOutcome, solve_request
 from repro.api.specs import BatchSpec, EpisodeSpec
+from repro.api.trace import EpisodeTrace
 from repro.core.config import ICOILConfig
 from repro.eval.metrics import EpisodeResult, MethodStatistics, aggregate_results
-from repro.eval.runner import EpisodeRunner, EpisodeTrace
 from repro.il.policy import ILPolicy
 from repro.world.registry import default_scenario_registry
 from repro.world.scenario import DifficultyLevel, ScenarioConfig, SpawnMode
@@ -52,28 +53,30 @@ from repro.world.scenario import DifficultyLevel, ScenarioConfig, SpawnMode
 # ---------------------------------------------------------------------------
 # Session-layer plumbing shared by all experiments
 # ---------------------------------------------------------------------------
+# Episode budget (s) of every experiment unless the caller passes one.
+DEFAULT_TIME_LIMIT = 80.0
+
+
 def _run_session(
-    runner: EpisodeRunner,
+    policy: Optional[ILPolicy],
     method: str,
     scenario_config: ScenarioConfig,
+    config: Optional[ICOILConfig],
+    time_limit: float,
     max_steps: Optional[int] = None,
 ) -> SessionOutcome:
-    """Run one episode through the session API with the runner's settings."""
+    """Run one episode through the session API."""
     spec = EpisodeSpec(
         method=method,
         scenario=scenario_config,
-        icoil=runner.config,
-        dt=runner.dt,
-        time_limit=runner.time_limit,
+        icoil=config or ICOILConfig(),
+        time_limit=time_limit,
         max_steps=max_steps,
     )
-    session = ParkingSession(
-        spec, il_policy=runner.il_policy, vehicle_params=runner.vehicle_params
-    )
-    return session.run()
+    return ParkingSession(spec, il_policy=policy).run()
 
 
-def _executor_for(runner: EpisodeRunner) -> BatchExecutor:
+def _executor_for(policy: Optional[ILPolicy]) -> BatchExecutor:
     """The experiment harness's batch executor.
 
     ``ICOIL_EXECUTOR_BACKEND=process`` switches every experiment's batches
@@ -81,25 +84,23 @@ def _executor_for(runner: EpisodeRunner) -> BatchExecutor:
     thread backend, so tables and figures do not change — only wall time).
     """
     backend = os.environ.get("ICOIL_EXECUTOR_BACKEND", "thread")
-    return BatchExecutor(
-        il_policy=runner.il_policy, vehicle_params=runner.vehicle_params, backend=backend
-    )
+    return BatchExecutor(il_policy=policy, backend=backend)
 
 
 def _batch_spec(
-    runner: EpisodeRunner,
     method: str,
     seeds: Sequence[int],
     difficulties: Sequence[DifficultyLevel],
+    config: Optional[ICOILConfig],
+    time_limit: float,
     **scenario_kwargs,
 ) -> BatchSpec:
     return BatchSpec(
         method=method,
         seeds=tuple(seeds),
         difficulties=tuple(difficulties),
-        icoil=runner.config,
-        dt=runner.dt,
-        time_limit=runner.time_limit,
+        icoil=config or ICOILConfig(),
+        time_limit=time_limit,
         **scenario_kwargs,
     )
 
@@ -124,13 +125,15 @@ class SteeringComparison:
 
 
 def fig5_steering_experiment(
-    policy: ILPolicy, seed: int = 0, runner: Optional[EpisodeRunner] = None
+    policy: ILPolicy,
+    seed: int = 0,
+    config: Optional[ICOILConfig] = None,
+    time_limit: float = DEFAULT_TIME_LIMIT,
 ) -> SteeringComparison:
     """Reproduce Fig. 5: compare IL steering with the demonstrator's."""
-    runner = runner or EpisodeRunner(il_policy=policy)
-    config = ScenarioConfig(difficulty=DifficultyLevel.EASY, spawn_mode=SpawnMode.RANDOM, seed=seed)
-    expert_trace = _run_session(runner, "expert", config).trace
-    il_trace = _run_session(runner, "il", config).trace
+    scenario = ScenarioConfig(difficulty=DifficultyLevel.EASY, spawn_mode=SpawnMode.RANDOM, seed=seed)
+    expert_trace = _run_session(policy, "expert", scenario, config, time_limit).trace
+    il_trace = _run_session(policy, "il", scenario, config, time_limit).trace
     return SteeringComparison(
         expert_times=expert_trace.times,
         expert_steering=expert_trace.steering,
@@ -157,13 +160,13 @@ def fig6_trajectory_experiment(
     policy: ILPolicy,
     seed: int = 3,
     difficulty: DifficultyLevel = DifficultyLevel.NORMAL,
-    runner: Optional[EpisodeRunner] = None,
+    config: Optional[ICOILConfig] = None,
+    time_limit: float = DEFAULT_TIME_LIMIT,
 ) -> TrajectoryComparison:
     """Reproduce Fig. 6: a full parking run for iCOIL and for pure IL."""
-    runner = runner or EpisodeRunner(il_policy=policy)
-    config = ScenarioConfig(difficulty=difficulty, spawn_mode=SpawnMode.RANDOM, seed=seed)
-    icoil = _run_session(runner, "icoil", config)
-    il = _run_session(runner, "il", config)
+    scenario = ScenarioConfig(difficulty=difficulty, spawn_mode=SpawnMode.RANDOM, seed=seed)
+    icoil = _run_session(policy, "icoil", scenario, config, time_limit)
+    il = _run_session(policy, "il", scenario, config, time_limit)
     return TrajectoryComparison(icoil.result, icoil.trace, il.result, il.trace)
 
 
@@ -203,14 +206,11 @@ def fig7_mode_switching_experiment(
     seed: int = 0,
     difficulty: DifficultyLevel = DifficultyLevel.EASY,
     config: Optional[ICOILConfig] = None,
-    runner: Optional[EpisodeRunner] = None,
+    time_limit: float = DEFAULT_TIME_LIMIT,
 ) -> ModeSwitchingTrace:
     """Reproduce Fig. 7: uncertainty and commands during one iCOIL episode."""
-    runner = runner or EpisodeRunner(il_policy=policy, config=config)
-    scenario_config = ScenarioConfig(
-        difficulty=difficulty, spawn_mode=SpawnMode.RANDOM, seed=seed
-    )
-    outcome = _run_session(runner, "icoil", scenario_config)
+    scenario = ScenarioConfig(difficulty=difficulty, spawn_mode=SpawnMode.RANDOM, seed=seed)
+    outcome = _run_session(policy, "icoil", scenario, config, time_limit)
     result, trace = outcome.result, outcome.trace
     return ModeSwitchingTrace(
         result=result,
@@ -244,16 +244,18 @@ def table2_experiment(
         DifficultyLevel.HARD,
     ),
     base_seed: int = 100,
-    runner: Optional[EpisodeRunner] = None,
+    config: Optional[ICOILConfig] = None,
+    time_limit: float = DEFAULT_TIME_LIMIT,
 ) -> List[Table2Row]:
     """Reproduce Table II: success rate and parking time per difficulty level."""
-    runner = runner or EpisodeRunner(il_policy=policy)
-    executor = _executor_for(runner)
+    executor = _executor_for(policy)
     seeds = [base_seed + index for index in range(num_episodes)]
     # One batch per method covering all difficulty levels; results come back
     # difficulty-major, so each difficulty's chunk has len(seeds) entries.
     per_method: Dict[str, List[EpisodeResult]] = {
-        method: executor.run_results(_batch_spec(runner, method, seeds, difficulties))
+        method: executor.run_results(
+            _batch_spec(method, seeds, difficulties, config, time_limit)
+        )
         for method in methods
     }
     rows: List[Table2Row] = []
@@ -288,7 +290,8 @@ def fig8_sensitivity_experiment(
     spawn_modes: Sequence[SpawnMode] = (SpawnMode.CLOSE, SpawnMode.REMOTE, SpawnMode.RANDOM),
     scenarios: Sequence[str] = ("legacy",),
     base_seed: int = 200,
-    runner: Optional[EpisodeRunner] = None,
+    config: Optional[ICOILConfig] = None,
+    time_limit: float = DEFAULT_TIME_LIMIT,
 ) -> List[Fig8Cell]:
     """Reproduce Fig. 8: iCOIL parking time per spawn mode and obstacle count.
 
@@ -297,8 +300,7 @@ def fig8_sensitivity_experiment(
     ``default_scenario_registry().names()``) turns the sweep into a
     layout-generalization grid.
     """
-    runner = runner or EpisodeRunner(il_policy=policy)
-    executor = _executor_for(runner)
+    executor = _executor_for(policy)
     cells: List[Fig8Cell] = []
     seeds = [base_seed + index for index in range(num_episodes)]
     for scenario in scenarios:
@@ -306,10 +308,11 @@ def fig8_sensitivity_experiment(
             for count in obstacle_counts:
                 results = executor.run_results(
                     _batch_spec(
-                        runner,
                         "icoil",
                         seeds,
                         (DifficultyLevel.EASY,),
+                        config,
+                        time_limit,
                         spawn_mode=spawn_mode,
                         num_static_obstacles=count,
                         num_dynamic_obstacles=0,
@@ -340,19 +343,21 @@ def fig9_parking_time_experiment(
     methods: Sequence[str] = ("icoil", "il"),
     difficulty: DifficultyLevel = DifficultyLevel.EASY,
     base_seed: int = 300,
-    runner: Optional[EpisodeRunner] = None,
+    config: Optional[ICOILConfig] = None,
+    time_limit: float = DEFAULT_TIME_LIMIT,
 ) -> Dict[str, np.ndarray]:
     """Reproduce Fig. 9: the distribution of parking times per method.
 
     Returns a mapping from method name to the array of successful parking
     times.
     """
-    runner = runner or EpisodeRunner(il_policy=policy)
-    executor = _executor_for(runner)
+    executor = _executor_for(policy)
     seeds = [base_seed + index for index in range(num_episodes)]
     distributions: Dict[str, np.ndarray] = {}
     for method in methods:
-        results = executor.run_results(_batch_spec(runner, method, seeds, (difficulty,)))
+        results = executor.run_results(
+            _batch_spec(method, seeds, (difficulty,), config, time_limit)
+        )
         distributions[method] = np.array(
             [result.parking_time for result in results if result.success], dtype=float
         )
@@ -387,27 +392,31 @@ def execution_frequency_experiment(
     policy: ILPolicy,
     num_steps: int = 40,
     seed: int = 0,
-    runner: Optional[EpisodeRunner] = None,
+    config: Optional[ICOILConfig] = None,
+    time_limit: float = DEFAULT_TIME_LIMIT,
 ) -> ExecutionFrequencyResult:
     """Reproduce the §V-E execution-frequency measurement.
 
     The paper reports 75 Hz for IL and 18 Hz for CO on its hardware; the
     reproduction asserts on the *ordering* (IL several times faster per step)
-    rather than the absolute rates.
+    rather than the absolute rates.  An IL step is BEV render plus IL
+    forward; a CO step is detection plus CO build plus solve.
     """
-    runner = runner or EpisodeRunner(il_policy=policy)
-    config = ScenarioConfig(difficulty=DifficultyLevel.NORMAL, spawn_mode=SpawnMode.RANDOM, seed=seed)
-    _run_session(runner, "il", config, max_steps=num_steps)
-    _run_session(runner, "co", config, max_steps=num_steps)
+    scenario_config = ScenarioConfig(
+        difficulty=DifficultyLevel.NORMAL, spawn_mode=SpawnMode.RANDOM, seed=seed
+    )
+    _run_session(policy, "il", scenario_config, config, time_limit, max_steps=num_steps)
+    _run_session(policy, "co", scenario_config, config, time_limit, max_steps=num_steps)
 
     # Re-run the controllers directly to time the module calls in isolation.
     from repro.world.scenario import build_scenario
     from repro.world.world import ParkingWorld
 
-    scenario = build_scenario(config)
-    world = ParkingWorld(scenario, runner.vehicle_params, dt=runner.dt, time_limit=runner.time_limit)
-    il_controller = runner.build_controller("il", scenario)
-    co_controller = runner.build_controller("co", scenario)
+    scenario = build_scenario(scenario_config)
+    context = ControllerContext(scenario, il_policy=policy, icoil=config)
+    world = ParkingWorld(scenario, context.vehicle_params, dt=context.dt, time_limit=time_limit)
+    il_controller = default_registry().create("il", context)
+    co_controller = default_registry().create("co", context)
     il_latencies: List[float] = []
     co_latencies: List[float] = []
     for _ in range(num_steps):
@@ -416,10 +425,12 @@ def execution_frequency_experiment(
         state = world.state
         obstacles = world.current_obstacles()
         start = time_module.perf_counter()
-        il_controller.step(state, obstacles, scenario.lot, time=world.time)
+        request, finish = il_controller.step_split(state, obstacles, scenario.lot, time=world.time)
+        finish(solve_request(request))
         il_latencies.append(time_module.perf_counter() - start)
         start = time_module.perf_counter()
-        co_step = co_controller.step(state, obstacles, scenario.lot, time=world.time)
+        request, finish = co_controller.step_split(state, obstacles, scenario.lot, time=world.time)
+        co_step = finish(solve_request(request))
         co_latencies.append(time_module.perf_counter() - start)
         world.step(co_step.action)
     return ExecutionFrequencyResult(
@@ -463,7 +474,7 @@ def hsa_ablation_experiment(
                     seeds=tuple(seeds),
                     difficulties=(DifficultyLevel.NORMAL,),
                     icoil=config,
-                    time_limit=80.0,
+                    time_limit=DEFAULT_TIME_LIMIT,
                 )
             )
             successes = [r for r in results if r.success]
@@ -504,7 +515,8 @@ def scenario_generalization_experiment(
     difficulty: DifficultyLevel = DifficultyLevel.EASY,
     spawn_mode: SpawnMode = SpawnMode.RANDOM,
     base_seed: int = 500,
-    runner: Optional[EpisodeRunner] = None,
+    config: Optional[ICOILConfig] = None,
+    time_limit: float = DEFAULT_TIME_LIMIT,
 ) -> List[ScenarioMatrixCell]:
     """Evaluate each method on every registered lot layout.
 
@@ -514,8 +526,7 @@ def scenario_generalization_experiment(
     the scenario registry.  ``scenarios=None`` means every registered
     preset, so newly registered layouts join the sweep automatically.
     """
-    runner = runner or EpisodeRunner(il_policy=policy)
-    executor = _executor_for(runner)
+    executor = _executor_for(policy)
     names: Tuple[str, ...] = (
         tuple(scenarios) if scenarios is not None else default_scenario_registry().names()
     )
@@ -525,10 +536,11 @@ def scenario_generalization_experiment(
         for method in methods:
             results = executor.run_results(
                 _batch_spec(
-                    runner,
                     method,
                     seeds,
                     (difficulty,),
+                    config,
+                    time_limit,
                     spawn_mode=spawn_mode,
                     scenario_name=scenario,
                 )

@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.co.controller import COController
 from repro.core.config import ICOILConfig
-from repro.core.hsa import HSAModel
+from repro.core.hsa import HSAModel, hsa_obstacle_distances
 from repro.il.policy import ILPolicy
 from repro.middleware.bus import MessageBus
 from repro.middleware.messages import (
@@ -155,9 +155,9 @@ class HSANode(Node):
             if isinstance(detection_message, DetectionArrayMessage)
             else ()
         )
+        # D_{i,k} to each obstacle's boundary, as ICOILController measures it.
         if isinstance(state_message, EgoStateMessage) and detections:
-            centers = np.array([detection.center for detection in detections])
-            distances = np.linalg.norm(centers - state_message.state.position, axis=1)
+            distances = hsa_obstacle_distances(state_message.state.position, detections)
         else:
             distances = np.zeros(0)
         reading = self.model.update(probabilities, distances)

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.api.registry import ControllerContext
 from repro.co.controller import COController
 from repro.core.config import ICOILConfig
 from repro.il.expert import ExpertDriver
@@ -21,9 +22,6 @@ from repro.metaverse.nodes import (
 from repro.middleware.bus import MessageBus
 from repro.middleware.executor import Executor
 from repro.middleware.recorder import TopicRecorder
-from repro.perception.bev import BEVRenderer
-from repro.perception.detector import DetectionNoiseModel, ObjectDetector
-from repro.perception.noise import GaussianImageNoise, NoNoise
 from repro.vehicle.params import VehicleParams
 from repro.world.scenario import Scenario
 from repro.world.world import EpisodeStatus, ParkingWorld
@@ -71,16 +69,9 @@ class MoCAMPlatform:
         self.bus = MessageBus()
         self.executor = Executor(tick=tick)
 
-        image_noise = (
-            GaussianImageNoise(std=scenario.config.resolved_image_noise)
-            if scenario.config.resolved_image_noise > 0.0
-            else NoNoise()
-        )
-        renderer = BEVRenderer(noise=image_noise, seed=scenario.config.seed)
-        detector = ObjectDetector(
-            noise=DetectionNoiseModel.for_difficulty(scenario.config.resolved_detection_noise),
-            seed=scenario.config.seed,
-        )
+        # The session's perception components, seeded the way the scenario's
+        # seed_derivation says.
+        perception = ControllerContext(scenario)
 
         co_controller = COController(self.vehicle_params, horizon=self.config.horizon, dt=tick)
         expert = ExpertDriver(scenario.lot, scenario.obstacles, self.vehicle_params)
@@ -91,7 +82,9 @@ class MoCAMPlatform:
 
         # Node registration order defines the within-tick pipeline:
         # perception -> IL -> CO -> HSA -> mux -> simulator.
-        self.perception_node = PerceptionNode(self.bus, self.world, renderer, detector, rate_hz)
+        self.perception_node = PerceptionNode(
+            self.bus, self.world, perception.renderer, perception.detector, rate_hz
+        )
         self.il_node = ILNode(self.bus, il_policy, rate_hz)
         self.co_node = CONode(self.bus, co_controller, self.world, rate_hz)
         self.hsa_node = HSANode(self.bus, self.config, il_policy.action_space.num_classes, rate_hz)

@@ -177,9 +177,7 @@ class FleetStepper:
                 initial_controls=[pending.request.warm_start for _, pending in members],
             )
             for (session, pending), result in zip(members, results):
-                session.finish_step(
-                    pending, result, jacobian_mode="analytic", backend="numpy"
-                )
+                session.finish_step(pending, result)
             self.stats.batched_calls += 1
             self.stats.batched_problems += len(members)
             self.stats.signature_groups += 1

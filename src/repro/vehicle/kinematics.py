@@ -263,9 +263,9 @@ class AckermannModel:
         return states, sensitivities
 
     # ------------------------------------------------------------------
-    # Batched (array-backend) interface
+    # Batched interface
     # ------------------------------------------------------------------
-    def rollout_batch(self, initial_states: np.ndarray, controls: np.ndarray, xp=np):
+    def rollout_batch(self, initial_states: np.ndarray, controls: np.ndarray):
         """Roll out ``B`` independent control sequences as one tensor op chain.
 
         Parameters
@@ -274,9 +274,6 @@ class AckermannModel:
             Array of shape ``(B, 4)`` with columns (x, y, heading, velocity).
         controls:
             Array of shape ``(B, H, 2)``.
-        xp:
-            Array namespace (NumPy by default; any namespace with the same
-            call surface, e.g. CuPy, works — see :mod:`repro.co.backend`).
 
         Returns
         -------
@@ -286,25 +283,25 @@ class AckermannModel:
         """
         params = self.params
         dt = self.dt
-        controls = xp.asarray(controls, dtype=float)
-        initial_states = xp.asarray(initial_states, dtype=float)
+        controls = np.asarray(controls, dtype=float)
+        initial_states = np.asarray(initial_states, dtype=float)
         horizon = controls.shape[1]
-        accel = xp.clip(controls[:, :, 0], -params.max_deceleration, params.max_acceleration)
-        tan_s = xp.tan(xp.clip(controls[:, :, 1], -params.max_steer, params.max_steer))
-        states = xp.zeros((initial_states.shape[0], horizon + 1, 4))
+        accel = np.clip(controls[:, :, 0], -params.max_deceleration, params.max_acceleration)
+        tan_s = np.tan(np.clip(controls[:, :, 1], -params.max_steer, params.max_steer))
+        states = np.zeros((initial_states.shape[0], horizon + 1, 4))
         states[:, 0] = initial_states
         x = initial_states[:, 0]
         y = initial_states[:, 1]
         heading = initial_states[:, 2]
         velocity = initial_states[:, 3]
         for h in range(horizon):
-            velocity = xp.clip(
+            velocity = np.clip(
                 velocity + accel[:, h] * dt, -params.max_reverse_speed, params.max_speed
             )
-            x = x + velocity * xp.cos(heading) * dt
-            y = y + velocity * xp.sin(heading) * dt
+            x = x + velocity * np.cos(heading) * dt
+            y = y + velocity * np.sin(heading) * dt
             heading = (
-                xp.mod(heading + velocity / params.wheelbase * tan_s[:, h] * dt + math.pi, 2.0 * math.pi)
+                np.mod(heading + velocity / params.wheelbase * tan_s[:, h] * dt + math.pi, 2.0 * math.pi)
                 - math.pi
             )
             states[:, h + 1, 0] = x
@@ -313,22 +310,20 @@ class AckermannModel:
             states[:, h + 1, 3] = velocity
         return states
 
-    def rollout_batch_with_sensitivities(
-        self, initial_states: np.ndarray, controls: np.ndarray, xp=np
-    ):
+    def rollout_batch_with_sensitivities(self, initial_states: np.ndarray, controls: np.ndarray):
         """Batched :meth:`rollout_with_sensitivities`: ``(B, H+1, 4)`` states
         plus a ``(B, H, H, 4, 2)`` sensitivity tensor."""
         params = self.params
         dt = self.dt
         wheelbase = params.wheelbase
-        controls = xp.asarray(controls, dtype=float)
-        states = self.rollout_batch(initial_states, controls, xp=xp)
+        controls = np.asarray(controls, dtype=float)
+        states = self.rollout_batch(initial_states, controls)
         batch, horizon = controls.shape[0], controls.shape[1]
 
         raw_accel = controls[:, :, 0]
         raw_steer = controls[:, :, 1]
-        steer = xp.clip(raw_steer, -params.max_steer, params.max_steer)
-        accel = xp.clip(raw_accel, -params.max_deceleration, params.max_acceleration)
+        steer = np.clip(raw_steer, -params.max_steer, params.max_steer)
+        accel = np.clip(raw_accel, -params.max_deceleration, params.max_acceleration)
         accel_free = (raw_accel >= -params.max_deceleration) & (
             raw_accel <= params.max_acceleration
         )
@@ -340,15 +335,15 @@ class AckermannModel:
 
         next_velocity = states[:, 1:, 3]
         heading = states[:, :-1, 2]
-        cos_h = xp.cos(heading)
-        sin_h = xp.sin(heading)
-        tan_s = xp.tan(steer)
-        cos_s = xp.cos(steer)
+        cos_h = np.cos(heading)
+        sin_h = np.sin(heading)
+        tan_s = np.tan(steer)
+        cos_s = np.cos(steer)
 
-        sensitivities = xp.zeros((batch, horizon, horizon, 4, 2))
+        sensitivities = np.zeros((batch, horizon, horizon, 4, 2))
         # One (B, 4, 4) transition buffer reused across steps; only the
         # state-dependent entries are rewritten each iteration.
-        transition = xp.zeros((batch, 4, 4))
+        transition = np.zeros((batch, 4, 4))
         transition[:, 0, 0] = 1.0
         transition[:, 1, 1] = 1.0
         transition[:, 2, 2] = 1.0
@@ -362,7 +357,7 @@ class AckermannModel:
                 transition[:, 2, 3] = free * tan_s[:, h] * dt / wheelbase
                 transition[:, 3, 3] = free
                 # Broadcasted batched matmul: (B, 1, 4, 4) @ (B, h, 4, 2).
-                sensitivities[:, h, :h] = xp.matmul(
+                sensitivities[:, h, :h] = np.matmul(
                     transition[:, None], sensitivities[:, h - 1, :h]
                 )
             accel_gain = free * accel_free[:, h].astype(float) * dt

@@ -38,13 +38,13 @@ def close_easy_config(seed: int = 0) -> ScenarioConfig:
 
 
 class _ConstantController:
-    """A trivial custom method: always emits the same action."""
+    """A trivial custom method: always emits the same action, never solves."""
 
     def __init__(self, action: Action) -> None:
         self.action = action
 
-    def step(self, state, obstacles, lot, time=0.0) -> ControlStep:
-        return ControlStep(action=self.action, mode="constant")
+    def step_split(self, state, obstacles, lot, time=0.0):
+        return None, lambda result: ControlStep(action=self.action, mode="constant")
 
 
 # ---------------------------------------------------------------------------
@@ -65,8 +65,9 @@ class TestControllerRegistry:
         assert "constant" in registry
         scenario = build_scenario(close_easy_config())
         controller = registry.create("constant", ControllerContext(scenario))
-        step = controller.step(None, (), scenario.lot)
-        assert step.mode == "constant"
+        request, finish = controller.step_split(None, (), scenario.lot)
+        assert request is None
+        assert finish(None).mode == "constant"
 
     def test_duplicate_name_rejected(self):
         registry = ControllerRegistry()
@@ -89,6 +90,22 @@ class TestControllerRegistry:
         message = str(excinfo.value)
         assert "gamma" in message
         assert "alpha" in message and "beta" in message
+
+    def test_controller_without_step_split_rejected_at_start(self):
+        """A factory returning a non-controller fails at start(), naming step_split."""
+
+        class _StepOnly:
+            def step(self, state, obstacles, lot, time=0.0):
+                return ControlStep(action=Action.idle(), mode="step-only")
+
+        registry = ControllerRegistry()
+        registry.register("step-only", lambda context: _StepOnly())
+        spec = EpisodeSpec(method="step-only", scenario=close_easy_config(), max_steps=2)
+        session = ParkingSession(spec, registry=registry)
+        with pytest.raises(TypeError, match="step_split") as excinfo:
+            session.start()
+        assert "'step-only'" in str(excinfo.value)
+        assert "_StepOnly" in str(excinfo.value)
 
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError):

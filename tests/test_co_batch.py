@@ -1,24 +1,11 @@
-"""Batched solver and array-backend seam: ``solve_many`` must agree with
-per-problem :class:`~repro.co.solver.GaussNewtonSolver` solves."""
+"""Batched solver: ``solve_many`` must agree with per-problem
+:class:`~repro.co.solver.GaussNewtonSolver` solves."""
 
 import numpy as np
 import pytest
 
-from repro.co import (
-    ArrayBackend,
-    BatchedGaussNewtonSolver,
-    GaussNewtonSolver,
-    MPCProblem,
-    ProblemBatch,
-    clear_array_backend,
-    current_array_backend,
-    install_array_backend,
-    resolve_backend,
-)
+from repro.co import BatchedGaussNewtonSolver, GaussNewtonSolver, MPCProblem, ProblemBatch
 from repro.co.constraints import FieldConstraintStack, ObstaclePrediction
-from repro.co.controller import COController
-from repro.geometry.se2 import SE2
-from repro.planning.waypoints import WaypointPath
 from repro.spatial import DistanceField, OccupancyGrid
 from repro.vehicle.kinematics import AckermannModel
 from repro.vehicle.params import VehicleParams
@@ -125,99 +112,3 @@ class TestSolveManyParity:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             ProblemBatch([])
-
-
-class TestArrayBackendSeam:
-    def test_default_is_numpy(self):
-        assert current_array_backend().name == "numpy"
-        assert resolve_backend(None).name == "numpy"
-        assert resolve_backend("numpy").xp is np
-
-    def test_backend_instance_passthrough(self):
-        backend = ArrayBackend(name="custom", xp=np)
-        assert resolve_backend(backend) is backend
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown array backend"):
-            resolve_backend("tensorflow")
-        with pytest.raises(TypeError):
-            resolve_backend(42)
-
-    def test_install_and_clear(self):
-        backend = ArrayBackend(name="installed-numpy", xp=np)
-        previous = install_array_backend(backend)
-        try:
-            assert previous is None
-            assert current_array_backend() is backend
-            assert resolve_backend(None) is backend
-        finally:
-            clear_array_backend()
-        assert current_array_backend().name == "numpy"
-
-    def test_solver_accepts_backend_by_name(self):
-        problems = [_problem(seed) for seed in range(3)]
-        results = BatchedGaussNewtonSolver(backend="numpy").solve_many(problems)
-        assert len(results) == 3
-
-    def test_batched_vector_solve(self):
-        backend = resolve_backend("numpy")
-        rng = np.random.default_rng(0)
-        matrices = rng.normal(size=(5, 4, 4)) + 4.0 * np.eye(4)
-        rhs = rng.normal(size=(5, 4))
-        solution = backend.solve(matrices, rhs)
-        for index in range(5):
-            np.testing.assert_allclose(
-                solution[index], np.linalg.solve(matrices[index], rhs[index])
-            )
-
-
-class TestActMany:
-    def _controller_and_state(self, seed):
-        rng = np.random.default_rng(seed)
-        controller = COController(vehicle_params=PARAMS, horizon=HORIZON)
-        start = rng.uniform(-1.0, 1.0, size=2)
-        goal = start + np.array([8.0, rng.uniform(-2.0, 2.0)])
-        controller.set_reference_path(
-            WaypointPath.straight_line(SE2(float(start[0]), float(start[1]), 0.0), goal)
-        )
-        state = VehicleState(
-            x=float(start[0]),
-            y=float(start[1]),
-            heading=rng.uniform(-0.2, 0.2),
-            velocity=rng.uniform(0.0, 0.5),
-        )
-        return controller, state
-
-    def test_matches_sequential_act(self):
-        pairs = [self._controller_and_state(seed) for seed in range(5)]
-        sequential = []
-        for seed in range(5):
-            controller, state = self._controller_and_state(seed)
-            sequential.append((controller.act(state), controller.last_info))
-
-        controllers = [controller for controller, _ in pairs]
-        states = [state for _, state in pairs]
-        actions = COController.act_many(controllers, states)
-        for (expected_action, expected_info), action, controller in zip(
-            sequential, actions, controllers
-        ):
-            assert action.steer == pytest.approx(expected_action.steer, abs=1e-6)
-            assert action.throttle == pytest.approx(expected_action.throttle, abs=1e-6)
-            assert action.brake == pytest.approx(expected_action.brake, abs=1e-6)
-            assert action.reverse == expected_action.reverse
-            info = controller.last_info
-            assert info.backend == "numpy"
-            assert info.jacobian_mode == "analytic"
-            assert info.objective == pytest.approx(expected_info.objective, abs=1e-6)
-
-    def test_updates_warm_starts(self):
-        controllers, states = zip(*[self._controller_and_state(seed) for seed in range(3)])
-        COController.act_many(list(controllers), list(states))
-        for controller in controllers:
-            assert controller._warm_start is not None
-            assert controller._warm_start.shape == (HORIZON, 2)
-
-    def test_length_mismatch_rejected(self):
-        controller, state = self._controller_and_state(0)
-        with pytest.raises(ValueError, match="states"):
-            COController.act_many([controller], [state, state])

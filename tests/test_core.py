@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import solve_request
 from repro.co.controller import COController
 from repro.core import (
     COOnlyController,
@@ -116,6 +117,12 @@ class TestHSAModel:
             HSAModel(num_classes=1)
 
 
+def _step(controller, scenario, state, time=0.0):
+    """One single-call step through the ``step_split`` protocol."""
+    request, finish = controller.step_split(state, scenario.obstacles, scenario.lot, time=time)
+    return request, finish(solve_request(request))
+
+
 class TestICOILController:
     def _make_controller(self, scenario, policy, vehicle_params, config=None):
         expert = ExpertDriver(scenario.lot, scenario.obstacles, vehicle_params)
@@ -128,50 +135,60 @@ class TestICOILController:
     def test_step_returns_telemetry(self, easy_scenario, small_policy, vehicle_params):
         controller = self._make_controller(easy_scenario, small_policy, vehicle_params)
         state = VehicleState.from_pose(easy_scenario.start_pose)
-        info = controller.step(state, easy_scenario.obstacles, easy_scenario.lot, time=0.0)
-        assert info.mode in (DrivingMode.CO, DrivingMode.IL)
-        assert info.il_probabilities.shape == (small_policy.action_space.num_classes,)
-        assert info.hsa.average_uncertainty >= 0.0
-        assert len(controller.history) == 1
+        _, step = _step(controller, easy_scenario, state)
+        assert step.mode in ("co", "il")
+        assert 0.0 <= step.uncertainty <= 1.0
+        assert np.isfinite(step.hsa_score)
 
     def test_guard_time_blocks_switching(self, easy_scenario, small_policy, vehicle_params):
         config = ICOILConfig(guard_frames=1000, switch_threshold=1e-9)
         controller = self._make_controller(easy_scenario, small_policy, vehicle_params, config)
         state = VehicleState.from_pose(easy_scenario.start_pose)
-        for step in range(3):
-            info = controller.step(state, easy_scenario.obstacles, easy_scenario.lot, time=0.1 * step)
+        for step_index in range(3):
+            _, step = _step(controller, easy_scenario, state, time=0.1 * step_index)
         # Even with a threshold that always selects CO/IL changes, the guard
         # keeps the initial CO mode.
         assert controller.mode is DrivingMode.CO
-        assert not info.switched
+        assert not step.switched
 
-    def test_prepare_resets_history(self, easy_scenario, small_policy, vehicle_params):
-        controller = self._make_controller(easy_scenario, small_policy, vehicle_params)
+    def test_prepare_resets_mode(self, easy_scenario, small_policy, vehicle_params):
+        config = ICOILConfig(guard_frames=0, switch_threshold=1e9)  # IL at once
+        controller = self._make_controller(easy_scenario, small_policy, vehicle_params, config)
         state = VehicleState.from_pose(easy_scenario.start_pose)
-        controller.step(state, easy_scenario.obstacles, easy_scenario.lot)
+        _step(controller, easy_scenario, state)
+        assert controller.mode is DrivingMode.IL
         controller.prepare(controller.co_controller.reference_path)
-        assert controller.history == []
         assert controller.mode is DrivingMode.CO
 
-    def test_co_mode_records_solve_info(self, easy_scenario, small_policy, vehicle_params):
+    def test_co_mode_requests_a_solve(self, easy_scenario, small_policy, vehicle_params):
         config = ICOILConfig(guard_frames=1000)  # stay in the initial CO mode
         controller = self._make_controller(easy_scenario, small_policy, vehicle_params, config)
         state = VehicleState.from_pose(easy_scenario.start_pose)
-        info = controller.step(state, easy_scenario.obstacles, easy_scenario.lot)
-        assert info.mode is DrivingMode.CO
-        assert info.co_solve_info is not None
-        assert info.co_solve_info.solve_time > 0.0
+        request, step = _step(controller, easy_scenario, state)
+        assert request is not None
+        assert step.mode == "co"
+        assert controller.co_controller.last_info.solve_time > 0.0
+
+    def test_il_mode_requests_no_solve(self, easy_scenario, small_policy, vehicle_params):
+        config = ICOILConfig(guard_frames=0, switch_threshold=1e9)
+        controller = self._make_controller(easy_scenario, small_policy, vehicle_params, config)
+        state = VehicleState.from_pose(easy_scenario.start_pose)
+        request, step = _step(controller, easy_scenario, state)
+        assert request is None
+        assert step.mode == "il" and step.switched
+        assert controller.co_controller.last_info is None
 
 
 class TestBaselines:
     def test_il_only_controller(self, easy_scenario, small_policy):
         controller = ILOnlyController(small_policy)
-        controller.prepare()
         state = VehicleState.from_pose(easy_scenario.start_pose)
-        info = controller.step(state, easy_scenario.obstacles, easy_scenario.lot)
-        assert info.il_probabilities is not None
-        assert info.inference_time > 0.0
-        assert len(controller.history) == 1
+        request, step = _step(controller, easy_scenario, state)
+        assert request is None
+        assert step.mode == "il"
+        assert step.action == small_policy.predict_action(
+            controller.renderer.render(state, easy_scenario.obstacles, easy_scenario.lot)
+        )[0]
 
     def test_co_only_controller(self, easy_scenario, vehicle_params):
         expert = ExpertDriver(easy_scenario.lot, easy_scenario.obstacles, vehicle_params)
@@ -179,9 +196,11 @@ class TestBaselines:
         controller = COOnlyController(COController(vehicle_params, horizon=6))
         controller.prepare(path)
         state = VehicleState.from_pose(easy_scenario.start_pose)
-        info = controller.step(state, easy_scenario.obstacles, easy_scenario.lot)
-        assert info.co_solve_info is not None
-        assert info.action.throttle >= 0.0
+        request, step = _step(controller, easy_scenario, state)
+        assert request is not None
+        assert step.mode == "co"
+        assert controller.co_controller.last_info is not None
+        assert step.action.throttle >= 0.0
 
 
 class TestConflictEscalation:
@@ -259,10 +278,11 @@ class TestControllerHandoff:
         controller._mode = DrivingMode.IL
         controller._frames_since_switch = 0  # guard would normally block
         state = VehicleState.from_pose(easy_scenario.start_pose)
-        info = controller.step(state, easy_scenario.obstacles, easy_scenario.lot, time=0.0)
-        assert info.mode is DrivingMode.CO
-        assert info.switched
-        assert info.hsa.conflict_escalated
+        # Only the escalation can switch modes inside a 1000-frame guard.
+        request, step = _step(controller, easy_scenario, state)
+        assert request is not None
+        assert step.mode == "co"
+        assert step.switched
 
     def test_no_escalation_outside_final_approach(
         self, easy_scenario, small_policy, vehicle_params
@@ -275,6 +295,7 @@ class TestControllerHandoff:
         controller._mode = DrivingMode.IL
         controller._frames_since_switch = 0
         state = VehicleState.from_pose(easy_scenario.start_pose)
-        info = controller.step(state, easy_scenario.obstacles, easy_scenario.lot, time=0.0)
-        assert info.mode is DrivingMode.IL
-        assert not info.hsa.conflict_escalated
+        request, step = _step(controller, easy_scenario, state)
+        assert request is None
+        assert step.mode == "il"
+        assert not step.switched

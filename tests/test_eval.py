@@ -5,7 +5,7 @@ import pytest
 
 from repro.api import EpisodeSpec
 from repro.api.session import run_episode_spec
-from repro.eval import EpisodeResult, EpisodeRunner, aggregate_results, format_table2
+from repro.eval import EpisodeResult, aggregate_results, format_table2
 from repro.eval.experiments import Table2Row
 from repro.eval.metrics import MethodStatistics
 from repro.eval.report import format_fig8_grid, format_parking_time_distributions
@@ -58,8 +58,8 @@ class TestMetrics:
         assert not make_result(status=EpisodeStatus.COLLIDED).success
 
 
-class TestEpisodeRunner:
-    """Episode execution through :mod:`repro.api` (the shim-free path)."""
+class TestEpisodeExecution:
+    """Episode execution through :mod:`repro.api`."""
 
     def test_unknown_method_rejected(self, small_policy):
         with pytest.raises(ValueError):
@@ -68,14 +68,6 @@ class TestEpisodeRunner:
     def test_il_method_requires_policy(self):
         with pytest.raises(ValueError):
             run_episode_spec(EpisodeSpec(method="il"), il_policy=None)
-
-    def test_build_controller_resolves_registered_methods(self):
-        from repro.world.scenario import build_scenario
-
-        runner = EpisodeRunner()
-        config = ScenarioConfig(difficulty=DifficultyLevel.EASY, spawn_mode=SpawnMode.CLOSE, seed=0)
-        controller = runner.build_controller("expert", build_scenario(config))
-        assert hasattr(controller, "step")
 
     def test_expert_episode_runs_and_traces(self):
         config = ScenarioConfig(difficulty=DifficultyLevel.EASY, spawn_mode=SpawnMode.CLOSE, seed=0)

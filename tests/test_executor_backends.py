@@ -108,8 +108,9 @@ class TestProcessBackend:
 
         def build_probe(context):
             class Controller:
-                def step(self, state, obstacles, lot, time=0.0):
-                    return ControlStep(action=Action.full_brake(), mode="probe")
+                def step_split(self, state, obstacles, lot, time=0.0):
+                    control = ControlStep(action=Action.full_brake(), mode="probe")
+                    return None, lambda result: control
 
             return Controller()
 

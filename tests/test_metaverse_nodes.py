@@ -1,15 +1,19 @@
 """Unit tests for the individual MoCAM node-graph components."""
 
+import numpy as np
 import pytest
 
+from repro.api import ControllerContext
 from repro.co.controller import COController
 from repro.core.config import ICOILConfig
+from repro.core.hsa import HSAModel, hsa_obstacle_distances
 from repro.il.expert import ExpertDriver
 from repro.metaverse import (
     CommandMuxNode,
     CONode,
     HSANode,
     ILNode,
+    MoCAMPlatform,
     PerceptionNode,
     SimulatorBridgeNode,
     Topics,
@@ -23,6 +27,7 @@ from repro.middleware import (
     MessageBus,
 )
 from repro.vehicle.actions import Action
+from repro.world.scenario import DifficultyLevel, ScenarioConfig, SpawnMode, build_scenario
 from repro.world.world import ParkingWorld
 
 
@@ -85,6 +90,23 @@ class TestHSANode:
         assert status.active_mode in ("il", "co")
         assert status.reading is not None
 
+    def test_reading_uses_boundary_distances(self, bus, world, small_policy):
+        """D_{i,k} is measured to each obstacle's boundary, as in ICOILController."""
+        PerceptionNode(bus, world).step(0.0)
+        ILNode(bus, small_policy).step(0.0)
+        state = world.state
+        bus.publish(Topics.EGO_STATE, EgoStateMessage(stamp=0.0, state=state))
+        config = ICOILConfig()
+        num_classes = small_policy.action_space.num_classes
+        HSANode(bus, config, num_classes).step(0.0)
+        detections = bus.latest(Topics.DETECTIONS).detections
+        assert detections
+        expected = HSAModel(config, num_classes=num_classes).update(
+            bus.latest(Topics.IL_PROBABILITIES).probabilities,
+            hsa_obstacle_distances(state.position, detections),
+        )
+        assert bus.latest(Topics.HSA_STATUS).reading == expected
+
     def test_no_status_without_probabilities(self, bus):
         node = HSANode(bus, ICOILConfig())
         node.step(0.0)
@@ -136,3 +158,30 @@ class TestSimulatorBridgeNode:
         node = SimulatorBridgeNode(bus, world)
         node.step(0.0)
         assert world.state.velocity == pytest.approx(0.0)
+
+
+class TestPlatformPerception:
+    def test_domain_seeded_platform_perceives_like_the_session(self, small_policy):
+        """Under seed_derivation="domain" the platform's noisy perception is the session's."""
+        scenario = build_scenario(
+            ScenarioConfig(
+                difficulty=DifficultyLevel.EASY,
+                spawn_mode=SpawnMode.CLOSE,
+                seed=2,
+                image_noise_std=0.1,
+                seed_derivation="domain",
+            )
+        )
+        platform = MoCAMPlatform(scenario, small_policy, time_limit=5.0)
+        platform.perception_node.step(0.0)
+        context = ControllerContext(scenario)
+        state = platform.world.state
+        obstacles = platform.world.current_obstacles()
+        image = platform.bus.latest(Topics.BEV_IMAGE).image
+        expected_image = context.renderer.render(state, obstacles, scenario.lot)
+        assert np.array_equal(image.data, expected_image.data)
+        detections = platform.bus.latest(Topics.DETECTIONS).detections
+        expected = context.detector.detect(state, obstacles, time=0.0)
+        assert np.array_equal(
+            [d.center for d in detections], [d.center for d in expected]
+        )

@@ -17,9 +17,11 @@ import logging
 import numpy as np
 import pytest
 
-from repro.api import BatchExecutor, BatchSpec, EpisodeSpec
+from repro.api import BatchExecutor, BatchSpec, EpisodeSpec, ParkingSession
 from repro.core.config import ICOILConfig
 from repro.api.session import run_episode_spec
+from repro.eval.training import default_policy_path
+from repro.il.policy import ILPolicy
 from repro.serve import FleetStats, run_specs_fleet
 from repro.world.scenario import DifficultyLevel, ScenarioConfig, SpawnMode
 
@@ -90,6 +92,40 @@ class TestFleetParity:
         first, _ = run_specs_fleet(session_specs)
         second, _ = run_specs_fleet(session_specs)
         assert first[0].result == second[0].result
+
+
+class TestMixedMethodCohort:
+    def test_every_method_matches_its_solo_run(self):
+        """IL frames (no request) and iCOIL mode switches inside one cohort."""
+        policy = ILPolicy()
+        policy.load(default_policy_path())
+        specs = [
+            EpisodeSpec(
+                method=method,
+                scenario=ScenarioConfig(
+                    scenario_name="perpendicular-easy",
+                    difficulty=DifficultyLevel.EASY,
+                    spawn_mode=SpawnMode.CLOSE,
+                    seed=seed,
+                ),
+                co_solver="batched",
+                max_steps=40,
+            )
+            for seed in (0, 1)
+            for method in ("icoil", "il", "co", "expert")
+        ]
+        solo = [ParkingSession(spec, il_policy=policy).run() for spec in specs]
+        outcomes, stats = run_specs_fleet(specs, il_policy=policy)
+        for spec, fleet, reference in zip(specs, outcomes, solo):
+            assert fleet.result.trace_hash == reference.result.trace_hash, spec.method
+        for spec, outcome in zip(specs, outcomes):
+            if spec.method == "icoil":
+                # The guard holds CO for 20 frames, then HSA hands over to IL.
+                modes = outcome.trace.modes
+                assert set(modes) == {"co", "il"}
+                assert modes[19] == "co" and modes[20] == "il"
+        assert stats.direct_steps > 0
+        assert stats.batched_problems > 0
 
 
 class TestRaggedCohorts:

@@ -14,7 +14,13 @@ import math
 import numpy as np
 import pytest
 
-from repro.api import ControllerContext, EpisodeSpec, TimeLayerSpec, default_registry
+from repro.api import (
+    ControllerContext,
+    EpisodeSpec,
+    TimeLayerSpec,
+    default_registry,
+    solve_request,
+)
 from repro.il.envelope import BrakingEnvelope
 from repro.world import DifficultyLevel, ScenarioConfig, SpawnMode, build_scenario
 from repro.world.world import EpisodeStatus, ParkingWorld
@@ -129,10 +135,10 @@ def _run_dynamic_episode(scenario_name: str, seed: int) -> EpisodeStatus:
     for _ in range(max_steps):
         if world.status.is_terminal:
             break
-        control = controller.step(
+        request, finish = controller.step_split(
             world.state, world.current_obstacles(), scenario.lot, time=world.time
         )
-        world.step(control.action)
+        world.step(finish(solve_request(request)).action)
     return world.status
 
 
