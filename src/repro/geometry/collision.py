@@ -14,7 +14,13 @@ from typing import Union
 
 import numpy as np
 
-from repro.geometry.shapes import AxisAlignedBox, Circle, ConvexPolygon, OrientedBox
+from repro.geometry.shapes import (
+    AxisAlignedBox,
+    Circle,
+    ConvexPolygon,
+    OrientedBox,
+    edge_vectors,
+)
 
 Shape = Union[Circle, AxisAlignedBox, OrientedBox, ConvexPolygon]
 
@@ -52,17 +58,30 @@ def point_in_polygon(point: np.ndarray, polygon: ConvexPolygon) -> bool:
 def points_in_polygon(points: np.ndarray, polygon: ConvexPolygon) -> np.ndarray:
     """Vectorized convex membership test for an ``(N, 2)`` batch of points.
 
-    One half-plane cross product per (point, edge) pair — the rasterization
-    path of the occupancy grid, where a per-point Python loop would dominate
-    scenario setup.
+    The rasterization path of the occupancy grid, where a per-point Python
+    loop would dominate scenario setup; see :func:`points_in_polygons`.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 2)
-    vertices = polygon.vertices()
-    edges = polygon.edges()
-    # cross[n, e] = edge_e x (point_n - vertex_e); inside when all >= 0.
-    to_points = points[:, None, :] - vertices[None, :, :]
-    cross = edges[None, :, 0] * to_points[:, :, 1] - edges[None, :, 1] * to_points[:, :, 0]
-    return np.all(cross >= -1e-12, axis=1)
+    return points_in_polygons(points, polygon._vertices[None])[0]
+
+
+def points_in_polygons(points: np.ndarray, corners: np.ndarray) -> np.ndarray:
+    """Membership of ``(N, 2)`` points in each of ``(G, V, 2)`` convex polygons.
+
+    Returns a ``(G, N)`` boolean array.  A point is inside a polygon when
+    its cross product with every counter-clockwise edge,
+    ``edge x (point - vertex)``, is at least ``-1e-12`` — the expression and
+    tolerance of :meth:`ConvexPolygon.contains`.  Every pixel of a BEV frame
+    is tested against every polygon in this one broadcast; the products are
+    formed in place, so only two ``(G, V, N)`` float arrays are ever live.
+    """
+    edges = edge_vectors(corners)[:, :, None, :]
+    cross = points[:, 1] - corners[:, :, None, 1]
+    np.multiply(edges[..., 0], cross, out=cross)
+    to_x = points[:, 0] - corners[:, :, None, 0]
+    np.multiply(edges[..., 1], to_x, out=to_x)
+    np.subtract(cross, to_x, out=cross)
+    return (cross >= -1e-12).all(axis=1)
 
 
 def point_polygon_distance(point: np.ndarray, polygon: ConvexPolygon) -> float:
@@ -135,27 +154,30 @@ def polygon_polygon_collision(a: ConvexPolygon, b: ConvexPolygon) -> bool:
 def _segment_point_distances(
     starts: np.ndarray, directions: np.ndarray, points: np.ndarray
 ) -> np.ndarray:
-    """Distance from every point to every segment, shape ``(S, P)``.
+    """Distance from every point to every segment, shape ``(..., S, P)``.
 
-    One broadcast evaluation of the same arithmetic as
+    ``starts``/``directions`` are ``(..., S, 2)`` and ``points`` ``(..., P, 2)``;
+    leading axes broadcast.  One evaluation of the same arithmetic as
     :func:`closest_point_on_segment` followed by ``hypot`` — elementwise IEEE
     operations in the identical order, so each entry is bit-identical to the
-    scalar pairwise computation (this is what keeps the vectorized
-    :func:`polygon_polygon_distance` exactly equal to its historical loop,
-    a property the cross-backend determinism suite relies on).
+    scalar pairwise computation however many polygons are stacked (this is
+    what keeps :func:`polygon_polygon_distance` and :func:`polygon_distances`
+    exactly equal to the historical per-pair loop).
     """
-    length_sq = directions[:, 0] * directions[:, 0] + directions[:, 1] * directions[:, 1]
-    rel_x = points[None, :, 0] - starts[:, None, 0]
-    rel_y = points[None, :, 1] - starts[:, None, 1]
+    length_sq = directions[..., 0] * directions[..., 0] + directions[..., 1] * directions[..., 1]
+    rel_x = points[..., None, :, 0] - starts[..., :, None, 0]
+    rel_y = points[..., None, :, 1] - starts[..., :, None, 1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = (rel_x * directions[:, None, 0] + rel_y * directions[:, None, 1]) / length_sq[:, None]
+        t = (
+            rel_x * directions[..., :, None, 0] + rel_y * directions[..., :, None, 1]
+        ) / length_sq[..., :, None]
         t = np.clip(t, 0.0, 1.0)
     # Degenerate segments collapse to their start point (t = 0), matching the
     # scalar helper's early return.
-    t = np.where(length_sq[:, None] <= 1e-18, 0.0, t)
-    closest_x = starts[:, None, 0] + t * directions[:, None, 0]
-    closest_y = starts[:, None, 1] + t * directions[:, None, 1]
-    return np.hypot(points[None, :, 0] - closest_x, points[None, :, 1] - closest_y)
+    t = np.where(length_sq[..., :, None] <= 1e-18, 0.0, t)
+    closest_x = starts[..., :, None, 0] + t * directions[..., :, None, 0]
+    closest_y = starts[..., :, None, 1] + t * directions[..., :, None, 1]
+    return np.hypot(points[..., None, :, 0] - closest_x, points[..., None, :, 1] - closest_y)
 
 
 def polygon_polygon_distance(a: ConvexPolygon, b: ConvexPolygon) -> float:
@@ -173,6 +195,46 @@ def polygon_polygon_distance(a: ConvexPolygon, b: ConvexPolygon) -> float:
     best_ab = _segment_point_distances(vertices_a, a.edges(), vertices_b).min()
     best_ba = _segment_point_distances(vertices_b, b.edges(), vertices_a).min()
     return float(min(best_ab, best_ba))
+
+
+def polygon_distances(
+    vertices: np.ndarray,
+    edges: np.ndarray,
+    others: np.ndarray,
+    others_edges: np.ndarray,
+) -> np.ndarray:
+    """:func:`polygon_polygon_distance` of one convex polygon against ``M`` others.
+
+    ``vertices``/``edges`` are the one polygon's ``(P, 2)`` counter-clockwise
+    corners and their :func:`edge_vectors`; ``others``/``others_edges``
+    stack the others as ``(M, Q, 2)``.  Returns shape ``(M,)``: the world
+    step's whole per-obstacle sweep in one call.  Every entry is
+    bit-identical to the scalar function on the same pair: the SAT
+    projections go through the same ``matmul``, stacked over the pair axis,
+    and the vertex-to-edge sweeps are :func:`_segment_point_distances`
+    broadcast over it.  Zero-length edges yield no separating axis, as in
+    :func:`polygon_polygon_collision`.
+    """
+    count = others.shape[0]
+    pair_edges = np.concatenate(
+        (np.broadcast_to(edges, (count,) + edges.shape), others_edges), axis=1
+    )
+    lengths = np.hypot(pair_edges[..., 0], pair_edges[..., 1])
+    valid = lengths > 1e-15
+    lengths = np.where(valid, lengths, 1.0)
+    axes = np.empty_like(pair_edges)
+    axes[..., 0] = -pair_edges[..., 1] / lengths
+    axes[..., 1] = pair_edges[..., 0] / lengths
+    axes_t = axes.transpose(0, 2, 1)
+    projections_a = vertices @ axes_t
+    projections_b = others @ axes_t
+    separated = (projections_a.max(axis=1) < projections_b.min(axis=1)) | (
+        projections_b.max(axis=1) < projections_a.min(axis=1)
+    )
+    overlapping = ~(separated & valid).any(axis=1)
+    best_ab = _segment_point_distances(vertices, edges, others).min(axis=(1, 2))
+    best_ba = _segment_point_distances(others, others_edges, vertices).min(axis=(1, 2))
+    return np.where(overlapping, 0.0, np.minimum(best_ab, best_ba))
 
 
 def shapes_collide(a: Shape, b: Shape) -> bool:

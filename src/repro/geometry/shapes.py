@@ -253,8 +253,7 @@ class ConvexPolygon:
         """
         cached = self.__dict__.get("_edges_cache")
         if cached is None:
-            vertices = self._vertices
-            cached = np.roll(vertices, -1, axis=0) - vertices
+            cached = edge_vectors(self._vertices)
             cached.setflags(write=False)
             self.__dict__["_edges_cache"] = cached
         return cached
@@ -269,6 +268,11 @@ class ConvexPolygon:
 
     def area(self) -> float:
         return abs(_signed_area(self._vertices))
+
+
+def edge_vectors(vertices: np.ndarray) -> np.ndarray:
+    """Edge vectors ``v[i+1] - v[i]`` (closing edge included) of ``(..., V, 2)`` vertices."""
+    return np.concatenate((vertices[..., 1:, :], vertices[..., :1, :]), axis=-2) - vertices
 
 
 def _signed_area(vertices: np.ndarray) -> float:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import List
 
@@ -22,6 +23,10 @@ class TrainingReport:
     validation_accuracy: float
     num_train_samples: int
     num_validation_samples: int
+    samples_per_s: float
+    """Training throughput: ``epochs * num_train_samples`` over the wall time
+    of the optimisation loop (forward, backward and update; the accuracy
+    passes are excluded)."""
 
     @property
     def final_loss(self) -> float:
@@ -71,6 +76,7 @@ class ILTrainer:
         train_images, train_targets = train_set.to_arrays()
         validation_images, validation_targets = validation_set.to_arrays()
 
+        begin = time.perf_counter()
         history: List[float] = self.policy.network.fit(
             train_images,
             train_targets,
@@ -81,6 +87,7 @@ class ILTrainer:
             rng=self._rng,
             verbose=verbose,
         )
+        fit_seconds = time.perf_counter() - begin
         train_accuracy = self.policy.network.accuracy(train_images, train_targets)
         validation_accuracy = self.policy.network.accuracy(validation_images, validation_targets)
         return TrainingReport(
@@ -90,6 +97,7 @@ class ILTrainer:
             validation_accuracy=validation_accuracy,
             num_train_samples=len(train_set),
             num_validation_samples=len(validation_set),
+            samples_per_s=epochs * len(train_set) / max(fit_seconds, 1e-9),
         )
 
     def evaluate(self, dataset: DemonstrationDataset) -> float:

@@ -105,7 +105,12 @@ class ILNode(Node):
 
 
 class CONode(Node):
-    """The CO node: bounding boxes -> collision-free action (paper §IV-B)."""
+    """The CO node: bounding boxes -> collision-free action (paper §IV-B).
+
+    Solves only on CO ticks — when the latest HSA status selects ``co``, or
+    before the first status arrives — as the session's iCOIL controller
+    solves only in CO mode.  The platform therefore steps HSA before CO.
+    """
 
     def __init__(self, bus: MessageBus, controller: COController, world: ParkingWorld, rate_hz: float = 10.0) -> None:
         super().__init__("co", bus, rate_hz)
@@ -113,6 +118,9 @@ class CONode(Node):
         self.world = world
 
     def on_step(self, time: float) -> None:
+        status = self.latest(Topics.HSA_STATUS)
+        if isinstance(status, HSAStatusMessage) and status.active_mode != "co":
+            return
         state_message = self.latest(Topics.EGO_STATE)
         detection_message = self.latest(Topics.DETECTIONS)
         state = (

@@ -81,20 +81,21 @@ class MoCAMPlatform:
         co_controller.set_reference_path(reference)
 
         # Node registration order defines the within-tick pipeline:
-        # perception -> IL -> CO -> HSA -> mux -> simulator.
+        # perception -> IL -> HSA -> CO -> mux -> simulator.  HSA runs before
+        # CO so that CO solves only on the ticks HSA hands to it.
         self.perception_node = PerceptionNode(
             self.bus, self.world, perception.renderer, perception.detector, rate_hz
         )
         self.il_node = ILNode(self.bus, il_policy, rate_hz)
-        self.co_node = CONode(self.bus, co_controller, self.world, rate_hz)
         self.hsa_node = HSANode(self.bus, self.config, il_policy.action_space.num_classes, rate_hz)
+        self.co_node = CONode(self.bus, co_controller, self.world, rate_hz)
         self.mux_node = CommandMuxNode(self.bus, rate_hz)
         self.bridge_node = SimulatorBridgeNode(self.bus, self.world, rate_hz)
         for node in (
             self.perception_node,
             self.il_node,
-            self.co_node,
             self.hsa_node,
+            self.co_node,
             self.mux_node,
             self.bridge_node,
         ):

@@ -9,8 +9,9 @@ Every layer implements:
 * ``parameters()`` / ``gradients()`` — matching lists of arrays consumed by
   the optimizers.
 
-Convolution and pooling are implemented with im2col-style stride tricks so
-that training the small IL network (32x32x3 inputs) finishes in seconds.
+Convolution gathers its im2col patches with one cached index and pooling
+keeps a running maximum over its strided window views, so training the
+small IL network (32x32x3 inputs) finishes in seconds.
 
 Weight initialisation draws from an explicit ``rng`` when one is passed.
 Construction without one draws from a module-level default stream (seeded
@@ -25,7 +26,7 @@ through construction instead (what :class:`~repro.il.policy.ILPolicy` does).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -236,20 +237,33 @@ class Conv2D(Layer):
         self.stride = stride
         self.padding = padding
         self._cache: Optional[Tuple[np.ndarray, Tuple[int, ...]]] = None
+        self._gather_cache: Dict[Tuple[int, int], np.ndarray] = {}
+
+    def _gather_index(self, height: int, width: int) -> np.ndarray:
+        """Flat padded-plane index of every ``(row, col, out_row, out_col)`` tap.
+
+        Shape ``(k, k, out_h, out_w)``; built once per input size.
+        """
+        index = self._gather_cache.get((height, width))
+        if index is None:
+            k, s, p = self.kernel_size, self.stride, self.padding
+            out_h = (height + 2 * p - k) // s + 1
+            out_w = (width + 2 * p - k) // s + 1
+            rows = np.arange(k)[:, None, None, None] + s * np.arange(out_h)[None, None, :, None]
+            cols = np.arange(k)[None, :, None, None] + s * np.arange(out_w)[None, None, None, :]
+            index = rows * (width + 2 * p) + cols
+            self._gather_cache[(height, width)] = index
+        return index
 
     def _im2col(self, inputs: np.ndarray) -> Tuple[np.ndarray, int, int]:
+        """``(N, C, k, k, out_h, out_w)`` patches: one gather from a zero-padded copy."""
         batch, channels, height, width = inputs.shape
-        k, s, p = self.kernel_size, self.stride, self.padding
-        padded = np.pad(inputs, ((0, 0), (0, 0), (p, p), (p, p)))
-        out_h = (height + 2 * p - k) // s + 1
-        out_w = (width + 2 * p - k) // s + 1
-        columns = np.zeros((batch, channels, k, k, out_h, out_w))
-        for row in range(k):
-            row_end = row + s * out_h
-            for col in range(k):
-                col_end = col + s * out_w
-                columns[:, :, row, col, :, :] = padded[:, :, row:row_end:s, col:col_end:s]
-        return columns, out_h, out_w
+        p = self.padding
+        padded = np.zeros((batch, channels, height + 2 * p, width + 2 * p))
+        padded[:, :, p : p + height, p : p + width] = inputs
+        index = self._gather_index(height, width)
+        columns = np.take(padded.reshape(batch, channels, -1), index, axis=2)
+        return columns, index.shape[2], index.shape[3]
 
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
         inputs = np.asarray(inputs, dtype=float)
@@ -295,46 +309,63 @@ class Conv2D(Layer):
 
 
 class MaxPool2D(Layer):
-    """Max pooling over ``(N, C, H, W)`` inputs with a square window."""
+    """Max pooling over ``(N, C, H, W)`` inputs with a square window.
+
+    The forward pass is a running ``np.maximum`` over the ``k * k`` strided
+    views of the input, in row-major window order; training also records
+    the first window index that attains the maximum.
+    """
 
     def __init__(self, pool_size: int = 2, stride: Optional[int] = None) -> None:
         if pool_size <= 0:
             raise ValueError(f"pool_size must be positive, got {pool_size}")
         self.pool_size = pool_size
         self.stride = stride or pool_size
-        self._cache: Optional[Tuple[np.ndarray, np.ndarray, Tuple[int, ...]]] = None
+        self._cache: Optional[Tuple[np.ndarray, Tuple[int, ...]]] = None
 
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
         inputs = np.asarray(inputs, dtype=float)
         if inputs.ndim != 4:
             raise ValueError(f"MaxPool2D expects 4-D input, got shape {inputs.shape}")
-        batch, channels, height, width = inputs.shape
+        height, width = inputs.shape[2], inputs.shape[3]
         k, s = self.pool_size, self.stride
         out_h = (height - k) // s + 1
         out_w = (width - k) // s + 1
-        windows = np.zeros((batch, channels, out_h, out_w, k * k))
-        for row in range(k):
-            for col in range(k):
-                windows[:, :, :, :, row * k + col] = inputs[
-                    :, :, row : row + s * out_h : s, col : col + s * out_w : s
-                ]
-        output = windows.max(axis=-1)
-        if training:
-            argmax = windows.argmax(axis=-1)
-            self._cache = (argmax, np.array(inputs.shape), (out_h, out_w))
+        views = [
+            inputs[:, :, row : row + s * out_h : s, col : col + s * out_w : s]
+            for row in range(k)
+            for col in range(k)
+        ]
+        output = views[0].copy()
+        argmax = np.zeros(output.shape, dtype=np.intp) if training else None
+        for index, view in enumerate(views[1:], start=1):
+            if argmax is not None:
+                # Strictly greater: on ties the first window index wins.
+                np.copyto(argmax, index, where=view > output)
+            # On +0.0/-0.0 ties np.maximum keeps its second operand, the
+            # later view: what NumPy's reduction over a 2x2 window returns.
+            np.maximum(output, view, out=output)
+        if argmax is not None:
+            self._cache = (argmax, inputs.shape)
         return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        """Scatter-add ``grad_output`` onto each window's argmax.
+
+        One ``np.bincount`` over flat input indices, in the C order of the
+        pooled grid: the same accumulation order as an ``np.add.at`` scatter,
+        so overlapping windows sum bit-identically.
+        """
         if self._cache is None:
             raise RuntimeError("MaxPool2D.backward called without a preceding training forward pass")
-        argmax, input_shape, (out_h, out_w) = self._cache
+        argmax, input_shape = self._cache
         batch, channels, height, width = input_shape
+        out_h, out_w = argmax.shape[2], argmax.shape[3]
         k, s = self.pool_size, self.stride
-        grad_input = np.zeros((batch, channels, height, width))
-        rows = argmax // k
-        cols = argmax % k
-        batch_idx, channel_idx, out_row, out_col = np.indices((batch, channels, out_h, out_w))
-        in_row = out_row * s + rows
-        in_col = out_col * s + cols
-        np.add.at(grad_input, (batch_idx, channel_idx, in_row, in_col), grad_output)
-        return grad_input
+        planes = np.arange(batch * channels).reshape(batch, channels, 1, 1) * (height * width)
+        corners = (s * np.arange(out_h))[:, None] * width + s * np.arange(out_w)[None, :]
+        flat = planes + corners + (argmax // k) * width + argmax % k
+        grad_input = np.bincount(
+            flat.ravel(), weights=grad_output.ravel(), minlength=batch * channels * height * width
+        )
+        return grad_input.reshape(input_shape)

@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.geometry.collision import points_in_polygons
 from repro.geometry.se2 import SE2
-from repro.geometry.shapes import ConvexPolygon
 from repro.perception.noise import ImageNoise, NoNoise
 from repro.vehicle.state import VehicleState
 from repro.world.obstacles import Obstacle
@@ -104,11 +104,12 @@ class BEVRenderer:
         self.noise = noise or NoNoise()
         self._rng = np.random.default_rng(seed)
         self._frame_index = 0
-        # Pixel-centre coordinates in the ego frame, reused across renders.
-        coords = (np.arange(image_size) + 0.5) / image_size * (2.0 * view_range) - view_range
-        # Row 0 is "ahead" of the vehicle (+x in ego frame), columns span left-right.
-        self._ego_x = view_range - (np.arange(image_size) + 0.5) / image_size * (2.0 * view_range)
-        self._ego_y = coords
+        # Pixel-centre coordinates in the ego frame, built once: row 0 is
+        # "ahead" of the vehicle (+x in ego frame), columns span left-right.
+        ego_x = view_range - (np.arange(image_size) + 0.5) / image_size * (2.0 * view_range)
+        ego_y = (np.arange(image_size) + 0.5) / image_size * (2.0 * view_range) - view_range
+        grid_x, grid_y = np.meshgrid(ego_x, ego_y, indexing="ij")
+        self._ego_points = np.stack([grid_x.ravel(), grid_y.ravel()], axis=1)
 
     @property
     def resolution(self) -> float:
@@ -121,33 +122,22 @@ class BEVRenderer:
         obstacles: Sequence[Obstacle],
         lot: ParkingLot,
     ) -> BEVImage:
-        """Render the BEV observation for the current world state."""
+        """Render the BEV observation for the current world state.
+
+        Every pixel is tested against every polygon — the obstacles, the
+        goal slot and the lot bounds — in one broadcast
+        (:func:`~repro.geometry.collision.points_in_polygons`).
+        """
         size = self.image_size
         ego_pose = state.pose
-        grid_x, grid_y = np.meshgrid(self._ego_x, self._ego_y, indexing="ij")
-        ego_points = np.stack([grid_x.ravel(), grid_y.ravel()], axis=1)
-        world_points = ego_pose.transform_points(ego_points)
-
-        obstacle_channel = np.zeros(size * size, dtype=float)
-        for obstacle in obstacles:
-            polygon = obstacle.box.to_polygon()
-            obstacle_channel = np.maximum(
-                obstacle_channel, _polygon_mask(polygon, world_points)
-            )
-
-        goal_polygon = lot.goal_space.box.to_polygon()
-        goal_channel = _polygon_mask(goal_polygon, world_points)
-
-        bounds_polygon = lot.bounds.to_polygon()
-        drivable_channel = _polygon_mask(bounds_polygon, world_points)
-
-        data = np.stack(
-            [
-                obstacle_channel.reshape(size, size),
-                goal_channel.reshape(size, size),
-                drivable_channel.reshape(size, size),
-            ]
+        world_points = ego_pose.transform_points(self._ego_points)
+        corners = np.stack(
+            [obstacle.box.vertices() for obstacle in obstacles]
+            + [lot.goal_space.box.vertices(), lot.bounds.vertices()]
         )
+        masks = points_in_polygons(world_points, corners)
+        channels = np.stack([masks[:-2].any(axis=0), masks[-2], masks[-1]])
+        data = channels.astype(float).reshape(3, size, size)
         data = self.noise.apply(data, self._rng)
         image = BEVImage(
             data=data,
@@ -157,15 +147,3 @@ class BEVRenderer:
         )
         self._frame_index += 1
         return image
-
-
-def _polygon_mask(polygon: ConvexPolygon, points: np.ndarray) -> np.ndarray:
-    """Vectorised point-in-convex-polygon mask over an ``(N, 2)`` point array."""
-    vertices = polygon.vertices()
-    edges = np.roll(vertices, -1, axis=0) - vertices
-    inside = np.ones(points.shape[0], dtype=bool)
-    for vertex, edge in zip(vertices, edges):
-        to_points = points - vertex
-        cross = edge[0] * to_points[:, 1] - edge[1] * to_points[:, 0]
-        inside &= cross >= -1e-12
-    return inside.astype(float)

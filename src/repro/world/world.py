@@ -14,8 +14,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.geometry.collision import distance_between
+from repro.geometry.collision import polygon_distances
 from repro.geometry.se2 import SE2
+from repro.geometry.shapes import OrientedBox, edge_vectors
 from repro.vehicle.actions import Action
 from repro.vehicle.kinematics import AckermannModel
 from repro.vehicle.params import VehicleParams
@@ -90,6 +91,12 @@ class ParkingWorld:
         self._actions: List[Action] = []
         # Purely static scenes skip the per-step at_time advance entirely.
         self._all_static = not any(obstacle.is_dynamic for obstacle in scenario.obstacles)
+        # The static obstacles' corners and edges, stacked once: each step
+        # appends only the moved patrol boxes before the one batched
+        # footprint-distance query.
+        static_boxes = [obstacle.box for obstacle in scenario.obstacles if not obstacle.is_dynamic]
+        self._static_corners = _stack_corners(static_boxes)
+        self._static_edges = edge_vectors(self._static_corners)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -128,13 +135,24 @@ class ParkingWorld:
     def min_obstacle_distance(self, state: Optional[VehicleState] = None) -> float:
         """Minimum footprint-to-obstacle distance at the current time."""
         state = state or self._state
-        footprint = state.footprint(self.vehicle_params)
+        footprint = state.footprint(self.vehicle_params).vertices()
         return self._min_distance(footprint, self.current_obstacles())
 
-    @staticmethod
-    def _min_distance(footprint, obstacles: List[Obstacle]) -> float:
-        distances = [distance_between(footprint, obstacle.box) for obstacle in obstacles]
-        return min(distances) if distances else float("inf")
+    def _min_distance(self, footprint: np.ndarray, obstacles: List[Obstacle]) -> float:
+        """Exact minimum of ``polygon_polygon_distance(footprint, box)`` over ``obstacles``.
+
+        ``footprint`` is the ego box's corner array and ``obstacles`` the
+        current obstacles (:meth:`current_obstacles`), in scenario order.
+        """
+        if not obstacles:
+            return float("inf")
+        corners, edges = self._static_corners, self._static_edges
+        if not self._all_static:
+            moved = _stack_corners([obstacle.box for obstacle in obstacles if obstacle.is_dynamic])
+            corners = np.concatenate((corners, moved))
+            edges = np.concatenate((edges, edge_vectors(moved)))
+        distances = polygon_distances(footprint, edge_vectors(footprint), corners, edges)
+        return float(distances.min())
 
     def distance_to_goal(self, state: Optional[VehicleState] = None) -> float:
         state = state or self._state
@@ -162,12 +180,12 @@ class ParkingWorld:
         self._time += self.dt
         self._trajectory.append(self._state)
         self._actions.append(action)
-        # One obstacle advance and one footprint-distance sweep per step:
-        # the exact minimum distance doubles as the collision predicate
+        # One obstacle advance and one batched footprint-distance query per
+        # step: the exact minimum distance doubles as the collision predicate
         # (polygon_polygon_distance returns exactly 0.0 iff the SAT test
         # overlaps), so the status check never repeats the geometry work.
         obstacles = self.current_obstacles()
-        footprint = self._state.footprint(self.vehicle_params)
+        footprint = self._state.footprint(self.vehicle_params).vertices()
         min_distance = self._min_distance(footprint, obstacles)
         self._status = self._evaluate_status(footprint, collided=min_distance == 0.0)
         return StepResult(
@@ -178,16 +196,24 @@ class ParkingWorld:
             min_obstacle_distance=min_distance,
         )
 
-    def _evaluate_status(self, footprint=None, collided: Optional[bool] = None) -> EpisodeStatus:
+    def _evaluate_status(
+        self, footprint: Optional[np.ndarray] = None, collided: Optional[bool] = None
+    ) -> EpisodeStatus:
+        """Status of the current state; ``footprint`` is its ego-box corner array."""
         if footprint is None:
-            footprint = self._state.footprint(self.vehicle_params)
+            footprint = self._state.footprint(self.vehicle_params).vertices()
         if collided is None:
             collided = self._min_distance(footprint, self.current_obstacles()) == 0.0
         if collided:
             return EpisodeStatus.COLLIDED
-        corners = footprint.vertices()
         bounds = self.scenario.lot.bounds
-        if not all(bounds.contains(corner) for corner in corners):
+        inside = (
+            (bounds.min_x <= footprint[:, 0])
+            & (footprint[:, 0] <= bounds.max_x)
+            & (bounds.min_y <= footprint[:, 1])
+            & (footprint[:, 1] <= bounds.max_y)
+        )
+        if not inside.all():
             return EpisodeStatus.OUT_OF_BOUNDS
         parked = self.scenario.lot.goal_space.contains_pose(self._state.pose)
         if parked and abs(self._state.velocity) < 0.3:
@@ -195,3 +221,10 @@ class ParkingWorld:
         if self._time >= self.time_limit:
             return EpisodeStatus.TIMED_OUT
         return EpisodeStatus.RUNNING
+
+
+def _stack_corners(boxes: List[OrientedBox]) -> np.ndarray:
+    """``(M, 4, 2)`` stack of the boxes' ``vertices()`` (``(0, 4, 2)`` when empty)."""
+    if not boxes:
+        return np.empty((0, 4, 2))
+    return np.stack([box.vertices() for box in boxes])

@@ -163,6 +163,7 @@ class TestILTrainer:
         assert report.epochs == 2
         assert report.num_train_samples + report.num_validation_samples == 20
         assert np.isfinite(report.final_loss)
+        assert np.isfinite(report.samples_per_s) and report.samples_per_s > 0.0
 
     def test_train_validates_inputs(self, action_space):
         policy = ILPolicy(action_space=action_space, hidden_size=16, seed=1)

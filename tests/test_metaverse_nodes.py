@@ -78,6 +78,18 @@ class TestCONode:
         assert isinstance(command, ControlCommandMessage)
         assert command.source == "co"
 
+    def test_skips_solve_when_hsa_selects_il(self, bus, world, easy_scenario, vehicle_params):
+        expert = ExpertDriver(easy_scenario.lot, easy_scenario.obstacles, vehicle_params)
+        controller = COController(vehicle_params, horizon=6)
+        controller.set_reference_path(expert.plan_reference(easy_scenario.start_pose))
+        PerceptionNode(bus, world).step(0.0)
+        bus.publish(Topics.HSA_STATUS, HSAStatusMessage(stamp=0.0, active_mode="il"))
+        CONode(bus, controller, world).step(0.0)
+        assert bus.latest(Topics.CO_COMMAND) is None
+        bus.publish(Topics.HSA_STATUS, HSAStatusMessage(stamp=0.1, active_mode="co"))
+        CONode(bus, controller, world).step(0.1)
+        assert isinstance(bus.latest(Topics.CO_COMMAND), ControlCommandMessage)
+
 
 class TestHSANode:
     def test_publishes_status_after_probabilities(self, bus, world, small_policy):
@@ -185,3 +197,20 @@ class TestPlatformPerception:
         assert np.array_equal(
             [d.center for d in detections], [d.center for d in expected]
         )
+
+
+class TestPlatformModes:
+    def test_co_commands_equal_co_mode_ticks(self, small_policy):
+        """CO solves on the ticks HSA hands to CO, not on every tick."""
+        scenario = build_scenario(
+            ScenarioConfig(difficulty=DifficultyLevel.EASY, spawn_mode=SpawnMode.CLOSE, seed=2)
+        )
+        # An unreachable switch threshold hands control to IL once the guard
+        # window has passed, so the episode mixes both modes.
+        config = ICOILConfig(guard_frames=5, switch_threshold=1e9)
+        platform = MoCAMPlatform(scenario, small_policy, config=config, time_limit=30.0)
+        result = platform.run_episode(max_duration=3.0)
+        co_ticks = result.mode_trace.count("co")
+        assert 0 < co_ticks < len(result.mode_trace)
+        assert platform.bus.publish_count(Topics.CO_COMMAND) == co_ticks
+        assert platform.bus.publish_count(Topics.CONTROL_COMMAND) == len(result.mode_trace)
